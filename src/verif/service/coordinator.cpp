@@ -100,25 +100,6 @@ freshNonce()
     return x != 0 ? x : 1;
 }
 
-/** Epochs any non-terminal job may still resume from. A job in retry
- *  backoff is not a running job, but its committed checkpoint must
- *  outlive every other job that runs during the backoff window —
- *  pruning "everything but the current epoch" loses exactly those
- *  files and turns a recoverable kill into a quarantine. */
-std::set<std::uint64_t>
-liveEpochs(const std::map<std::uint64_t, Job> &jobs)
-{
-    std::set<std::uint64_t> keep;
-    for (const auto &[id, job] : jobs) {
-        (void)id;
-        if ((job.state == JobState::Pending ||
-             job.state == JobState::Running) &&
-            job.ckpt.epoch != 0)
-            keep.insert(job.ckpt.epoch);
-    }
-    return keep;
-}
-
 /** Delete partition snapshot files whose epoch is not in @p keep. */
 void
 pruneEpochFiles(const std::string &dir,
@@ -282,6 +263,7 @@ class Coordinator
     JobResult pongResult(const Attempt &a, std::uint8_t statusCode,
                          double now) const;
     unsigned activeAttempts() const;
+    void pruneEpochs() const;
     void sweepAttempts();
     void scheduleJobs(double now);
 
@@ -400,6 +382,7 @@ Coordinator::startAttempt(Job &job)
     // a coordinator crash from here on replays as a failed attempt.
     queue_.markStarted(job, W);
     queue_.commit();
+    const JobSpec spec = attemptSpec(job);
 
     Attempt a;
     a.active = true;
@@ -439,7 +422,7 @@ Coordinator::startAttempt(Job &job)
             w.putU64(job.ckpt.epoch);
             w.putU32(job.ckpt.parts);
             putString(w, opts_.stateDir);
-            job.spec.encode(w);
+            spec.encode(w);
             pw.ch.queueFrame(MsgType::Assign, w.take());
             pw.assigned = true;
             a.workers[idx].remote = true;
@@ -458,7 +441,7 @@ Coordinator::startAttempt(Job &job)
                 WorkerConfig cfg;
                 cfg.index = idx;
                 cfg.count = W;
-                cfg.spec = job.spec;
+                cfg.spec = spec;
                 cfg.partDir = opts_.stateDir;
                 cfg.resumeEpoch = job.ckpt.epoch;
                 cfg.resumeParts = job.ckpt.parts;
@@ -478,7 +461,7 @@ Coordinator::startAttempt(Job &job)
                        ? ", resuming checkpoint epoch " +
                              std::to_string(job.ckpt.epoch)
                        : std::string(),
-                   ": ", job.spec.summary());
+                   ": ", spec.summary());
         attempts_[job.id] = std::move(a);
         return;
     }
@@ -521,7 +504,7 @@ Coordinator::startAttempt(Job &job)
             WorkerConfig cfg;
             cfg.index = i;
             cfg.count = W;
-            cfg.spec = job.spec;
+            cfg.spec = spec;
             cfg.partDir = opts_.stateDir;
             cfg.resumeEpoch = job.ckpt.epoch;
             cfg.resumeParts = job.ckpt.parts;
@@ -554,7 +537,7 @@ Coordinator::startAttempt(Job &job)
                    ? " (resuming checkpoint epoch " +
                          std::to_string(job.ckpt.epoch) + ")"
                    : std::string(),
-               ": ", job.spec.summary());
+               ": ", spec.summary());
     attempts_[job.id] = std::move(a);
 }
 
@@ -637,13 +620,42 @@ Coordinator::finishJob(Attempt &a, const JobResult &result)
     // The DONE record must be durable before the notification leaves
     // and before the checkpoint files stop existing.
     queue_.commit();
-    pruneEpochFiles(opts_.stateDir, liveEpochs(queue_.jobs()));
+    pruneEpochs();
     neo_inform("job ", job->id, " done: ",
                verifStatusName(
                    static_cast<VerifStatus>(result.statusCode)),
                " states=", result.states,
                " transitions=", result.transitions);
     notifyWaiters(job->id);
+}
+
+/** Delete every partition file no one can still need. Kept: the
+ *  committed epoch of each non-terminal job, and the epoch of each
+ *  barrier still writing. A job in retry backoff is not a running
+ *  job, but its committed checkpoint must outlive every other job
+ *  that runs during the backoff window — pruning "everything but the
+ *  current epoch" loses exactly those files and turns a recoverable
+ *  kill into a quarantine. Likewise, with concurrent attempts one
+ *  job's commit lands while another job's barrier has written only
+ *  some of its partitions; deleting those would commit a manifest
+ *  that names missing files. */
+void
+Coordinator::pruneEpochs() const
+{
+    std::set<std::uint64_t> keep;
+    for (const auto &[id, job] : queue_.jobs()) {
+        (void)id;
+        if ((job.state == JobState::Pending ||
+             job.state == JobState::Running) &&
+            job.ckpt.epoch != 0)
+            keep.insert(job.ckpt.epoch);
+    }
+    for (const auto &[id, a] : attempts_) {
+        (void)id;
+        if (a.active && a.phase == Phase::CkptWrite)
+            keep.insert(a.ckptEpoch);
+    }
+    pruneEpochFiles(opts_.stateDir, keep);
 }
 
 unsigned
@@ -1018,8 +1030,7 @@ Coordinator::handleWorkerFrame(Attempt &a, unsigned widx,
               // Durable before the files the OLD manifest named can
               // be pruned away.
               queue_.commit();
-              pruneEpochFiles(opts_.stateDir,
-                              liveEpochs(queue_.jobs()));
+              pruneEpochs();
           } else {
               neo_warn("checkpoint epoch ", a.ckptEpoch,
                        " abandoned (a partition write failed)");
@@ -1105,6 +1116,13 @@ Coordinator::superviseAttempt(Attempt &a, double now)
                 w.ctl.close();
                 continue;
             }
+            // A mesh control link is a socketpair to a local child:
+            // it closes only when that worker exits, and its EOF can
+            // beat waitpid here. Count the death, so the retry
+            // reshards onto the survivors exactly as a reaped death
+            // would. A star link can fail with its worker alive.
+            if (!a.tcp)
+                ++a.deaths;
             attemptFailed(a, "worker " + std::to_string(i) +
                                  " link lost");
             return;
@@ -1541,8 +1559,7 @@ Coordinator::handleClientFrame(ClientConn &client, MsgType type,
           if (ait != attempts_.end() && ait->second.active) {
               stopAttemptWorkers(ait->second);
               ait->second.active = false;
-              pruneEpochFiles(opts_.stateDir,
-                              liveEpochs(queue_.jobs()));
+              pruneEpochs();
           }
           notifyWaiters(id);
           sendOk(client, "cancelled");
@@ -1638,7 +1655,7 @@ Coordinator::run()
     // Partition files whose epoch no live job can resume from are
     // garbage: torn barriers that never reached their manifest
     // record, and committed epochs of jobs that since finished.
-    pruneEpochFiles(opts_.stateDir, liveEpochs(queue_.jobs()));
+    pruneEpochs();
 
     listenFd_ = listenUnix(opts_.sockPath, err);
     if (listenFd_ < 0) {

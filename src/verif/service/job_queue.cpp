@@ -33,6 +33,7 @@ JobSpec::encode(SnapshotWriter &w) const
     w.putF64(maxSeconds);
     w.putU64(crashAfter);
     w.putU32(workers);
+    w.putU64(parkAfter);
 }
 
 bool
@@ -47,6 +48,7 @@ JobSpec::decode(SnapshotReader &r, JobSpec &out)
     out.maxSeconds = r.getF64();
     out.crashAfter = r.getU64();
     out.workers = r.getU32();
+    out.parkAfter = r.getU64();
     return r.ok();
 }
 
@@ -65,7 +67,18 @@ JobSpec::summary() const
         os << " crash-after=" << crashAfter;
     if (workers != 0)
         os << " workers=" << workers;
+    if (parkAfter != 0)
+        os << " park-after=" << parkAfter;
     return os.str();
+}
+
+JobSpec
+attemptSpec(const Job &job)
+{
+    JobSpec spec = job.spec;
+    if (job.attempts > 1)
+        spec.parkAfter = 0;
+    return spec;
 }
 
 const char *

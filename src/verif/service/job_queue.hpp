@@ -53,6 +53,16 @@ struct JobSpec
      *  a big sweep job can be capped so it never crowds out small
      *  ones. */
     std::uint32_t workers = 0;
+    /** Fault-injection hook (tests): on the job's FIRST attempt each
+     *  worker stops expanding once it has interned this many fresh
+     *  states (the counter crashAfter uses), yet keeps interning
+     *  arrivals, answering pings and writing checkpoint partitions.
+     *  Its queue stays non-empty, so the attempt cannot reach a
+     *  fixpoint: it holds mid-flight at a known amount of work until
+     *  a test kills something, or the no-progress watchdog fails it.
+     *  Later attempts run with the hook cleared (attemptSpec); 0
+     *  disables. */
+    std::uint64_t parkAfter = 0;
 
     void encode(SnapshotWriter &w) const;
     static bool decode(SnapshotReader &r, JobSpec &out);
@@ -122,6 +132,12 @@ struct Job
     JobResult result; ///< valid when state == Done
     std::string lastFailure;
 };
+
+/** The spec an attempt's workers run: the job's own, with the park
+ *  hook cleared on every attempt after the first. Call it after
+ *  markStarted: the decision rests on the journaled attempt count, so
+ *  a coordinator restarted from the journal makes the same one. */
+JobSpec attemptSpec(const Job &job);
 
 /** Journal record types (persisted values — never renumber). */
 inline constexpr std::uint8_t kRecSubmit = 1;

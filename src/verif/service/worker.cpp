@@ -131,7 +131,8 @@ struct WorkerRt
     std::uint64_t invChecks = 0;
     std::uint64_t sentTotal = 0;
     std::uint64_t recvTotal = 0;
-    std::uint64_t freshInterns = 0; ///< this attempt (crashAfter gate)
+    /** Fresh states this attempt interned (crashAfter/parkAfter). */
+    std::uint64_t freshInterns = 0;
 
     /** TCP star topology: no peer mesh; foreign states ride the
      *  control channel as StatesTo frames the coordinator relays. */
@@ -207,9 +208,18 @@ reportViolation(WorkerRt &rt, const std::string &invariant,
     rt.ctl.queueFrame(MsgType::Violation, w.take());
 }
 
+/** The park hook has fired: expansion stops for good this attempt,
+ *  with the state that tripped it still queued (see JobSpec). */
+bool
+parked(const WorkerRt &rt)
+{
+    return rt.cfg->spec.parkAfter != 0 &&
+           rt.freshInterns >= rt.cfg->spec.parkAfter;
+}
+
 /** Intern a state this worker owns; fresh states are invariant-
- *  checked, queued for expansion, and gated by the crash-injection
- *  hook. */
+ *  checked, queued for expansion, and counted for the fault-injection
+ *  hooks. */
 void
 acceptOwn(WorkerRt &rt, const std::uint8_t *bytes, std::uint64_t hash)
 {
@@ -225,8 +235,9 @@ acceptOwn(WorkerRt &rt, const std::uint8_t *bytes, std::uint64_t hash)
         }
     }
     rt.queue.push_back(id);
+    ++rt.freshInterns;
     if (rt.cfg->spec.crashAfter != 0 &&
-        ++rt.freshInterns >= rt.cfg->spec.crashAfter)
+        rt.freshInterns >= rt.cfg->spec.crashAfter)
         ::_exit(kWorkerExitInjectedCrash); // injected fault: die hard
 }
 
@@ -673,7 +684,8 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
         const bool ctlFull =
             rt.star && rt.ctl.outPending() >= kCtlHighWater;
         const bool canExpand = !rt.paused && !rt.violated &&
-                               !rt.queue.empty() && !ctlFull;
+                               !parked(rt) && !rt.queue.empty() &&
+                               !ctlFull;
         if (!canExpand)
             flushAllBatches(rt); // going idle: nothing may linger
 
@@ -768,8 +780,9 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
 
         if (!rt.paused && !rt.violated &&
             !(rt.star && rt.ctl.outPending() >= kCtlHighWater)) {
-            for (unsigned b = 0;
-                 b < kExpandBatch && !rt.queue.empty(); ++b)
+            for (unsigned b = 0; b < kExpandBatch &&
+                                 !rt.queue.empty() && !parked(rt);
+                 ++b)
                 expandOne(rt, cur, succ);
         }
     }

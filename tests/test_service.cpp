@@ -18,11 +18,20 @@
  *    must converge to quarantine after the retry limit and surface the
  *    dedicated exit code, never wedge the queue.
  *
- * Below those sit unit tests for the crash-only building blocks: the
- * CRC-guarded journal (torn tails truncated, corruption never parsed),
- * the frame codec (corruption latches), EINTR-hardened I/O under a
- * deliberately hostile interval timer, stale-tmp reaping, and the
- * duration-literal CLI parser.
+ * The kill tests time their faults by work, never by the clock: the
+ * job is submitted with --inject-park-after K, so its first attempt
+ * holds once each worker has interned K fresh states (1/16 of the
+ * reference count) and cannot finish, however fast the engine or the
+ * machine. The test polls --status until that attempt is RUNNING with
+ * a committed checkpoint epoch, kills, and then reads the journal to
+ * confirm the order: CKPT, then the failed attempt, then the retry
+ * (unheld, on the survivors) landing on the exact counts.
+ *
+ * Beneath those properties sit unit tests for the crash-only building
+ * blocks: the CRC-guarded journal (torn tails truncated, corruption
+ * never parsed), the frame codec (corruption latches), EINTR-hardened
+ * I/O under a deliberately hostile interval timer, stale-tmp reaping,
+ * and the duration-literal CLI parser.
  */
 
 #include <gtest/gtest.h>
@@ -258,6 +267,39 @@ TEST(JobQueue, ReplayResolvesUnmatchedStartAsFailedAttempt)
     EXPECT_EQ(job->state, JobState::Pending); // lost attempt = failed
     EXPECT_EQ(job->attempts, 1u);
     EXPECT_NE(q.runnable(200.0), nullptr);
+}
+
+TEST(JobQueue, ParkHookHoldsOnlyTheFirstAttemptAcrossReplay)
+{
+    DirGuard d(tempDir("neoq"));
+    const std::string path = d.path + "/j.neoj";
+    std::uint64_t id = 0;
+    {
+        JobQueue q(3, 0.0);
+        std::string err;
+        ASSERT_TRUE(q.open(path, 0.0, err)) << err;
+        JobSpec spec;
+        spec.parkAfter = 100;
+        spec.crashAfter = 7;
+        id = q.submit(spec);
+        Job *job = q.find(id);
+        ASSERT_NE(job, nullptr);
+        q.markStarted(*job, 4);
+        EXPECT_EQ(attemptSpec(*job).parkAfter, 100u);
+        // Coordinator "dies" here: START journaled, no DONE/FAIL.
+    }
+    // The restarted coordinator decides from the journaled attempt
+    // count, so the held attempt is never held twice.
+    JobQueue q(3, 0.0);
+    std::string err;
+    ASSERT_TRUE(q.open(path, 0.0, err)) << err;
+    Job *job = q.find(id);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->spec.parkAfter, 100u); // the job keeps its spec
+    q.markStarted(*job, 4);
+    const JobSpec retry = attemptSpec(*job);
+    EXPECT_EQ(retry.parkAfter, 0u);
+    EXPECT_EQ(retry.crashAfter, 7u); // poison stays poison
 }
 
 TEST(JobQueue, ReplayQuarantinesACoordinatorCrashLoop)
@@ -556,6 +598,8 @@ TEST(Wire, JobSpecEncodesLosslessly)
     spec.maxStates = 123456;
     spec.maxSeconds = 9.5;
     spec.crashAfter = 42;
+    spec.workers = 3;
+    spec.parkAfter = 8395;
     SnapshotWriter w;
     spec.encode(w);
     const auto bytes = w.take();
@@ -570,6 +614,8 @@ TEST(Wire, JobSpecEncodesLosslessly)
     EXPECT_EQ(out.maxStates, spec.maxStates);
     EXPECT_DOUBLE_EQ(out.maxSeconds, spec.maxSeconds);
     EXPECT_EQ(out.crashAfter, spec.crashAfter);
+    EXPECT_EQ(out.workers, spec.workers);
+    EXPECT_EQ(out.parkAfter, spec.parkAfter);
 }
 
 // ---------------------------------------------------------------
@@ -934,7 +980,16 @@ struct ServiceFixture
         }
     }
 
-    ~ServiceFixture() { stop(); }
+    /** The state dir outlives a failing test: its journal and
+     *  serve.log are the postmortem. */
+    ~ServiceFixture()
+    {
+        stop();
+        if (!::testing::Test::HasFailure()) {
+            std::error_code ec;
+            fs::remove_all(dir, ec);
+        }
+    }
 };
 
 std::uint64_t
@@ -958,6 +1013,124 @@ germanReference(std::size_t n)
     return explore(ts, lim, false, true);
 }
 
+/** Submit flags that hold a job's first attempt mid-flight: each
+ *  worker parks after 1/16 of the reference's states, far below its
+ *  share on the 2 or 4 workers these tests use, so the attempt cannot
+ *  reach its fixpoint before the test has struck. */
+std::string
+parkFlag(const ExploreResult &ref)
+{
+    return " --inject-park-after " +
+           std::to_string(ref.statesExplored / 16);
+}
+
+/** Job @p id's line of a --status dump ("" when it has none). */
+std::string
+statusLine(const std::string &status, int id)
+{
+    const std::string head = "job " + std::to_string(id) + " ";
+    std::size_t at = status.find(head);
+    while (at != std::string::npos && at != 0 &&
+           status[at - 1] != '\n')
+        at = status.find(head, at + 1);
+    if (at == std::string::npos)
+        return "";
+    return status.substr(at, status.find('\n', at) - at);
+}
+
+/** Poll --status until job @p id runs its FIRST attempt and, with
+ *  @p wantEpoch, has committed a checkpoint epoch. This is the kill
+ *  tests' trigger: a held attempt cannot finish, so the fault lands
+ *  after a known amount of work, never after a guessed sleep.
+ *  @return that status line ("" if it never showed up). */
+std::string
+awaitHeldAttempt(const ServiceFixture &svc, int id, bool wantEpoch)
+{
+    std::string out;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (svc.client("--status", out) != 0)
+            return "";
+        const std::string line = statusLine(out, id);
+        if (line.find(" RUNNING attempt=1/") != std::string::npos &&
+            (!wantEpoch ||
+             line.find(" ckpt-epoch=") != std::string::npos))
+            return line;
+        ::usleep(20 * 1000);
+    }
+    return "";
+}
+
+/** Pid number @p k (0-based) of a status line's "pids=" list. */
+pid_t
+workerPid(const std::string &line, unsigned k)
+{
+    auto pos = line.find("pids=");
+    if (pos == std::string::npos)
+        return -1;
+    pos += 5;
+    for (unsigned i = 0; i < k; ++i) {
+        pos = line.find(',', pos);
+        if (pos == std::string::npos)
+            return -1;
+        ++pos;
+    }
+    return static_cast<pid_t>(
+        std::strtol(line.c_str() + pos, nullptr, 10));
+}
+
+/** neoverify --journal over the fixture's journal. Only call it while
+ *  no coordinator runs: the dump truncates a torn tail, as replay
+ *  does. */
+std::string
+journalDump(const ServiceFixture &svc)
+{
+    std::string dump;
+    const std::string cmd = std::string(NEOVERIFY_BIN) +
+                            " --journal " + svc.dir +
+                            "/state/journal.neoj 2>&1";
+    FILE *p = ::popen(cmd.c_str(), "r");
+    if (p == nullptr)
+        return dump;
+    char buf[4096];
+    while (std::fgets(buf, sizeof buf, p) != nullptr)
+        dump += buf;
+    ::pclose(p);
+    return dump;
+}
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++count;
+    return count;
+}
+
+/** Offset of the journal's first line starting with @p prefix
+ *  (npos if none): record order is line order. */
+std::size_t
+journalAt(const std::string &dump, const std::string &prefix)
+{
+    if (dump.compare(0, prefix.size(), prefix) == 0)
+        return 0;
+    const std::size_t at = dump.find('\n' + prefix);
+    return at == std::string::npos ? at : at + 1;
+}
+
+/** The journal's first line starting with @p prefix ("" if none). */
+std::string
+journalLine(const std::string &dump, const std::string &prefix)
+{
+    const std::size_t at = journalAt(dump, prefix);
+    if (at == std::string::npos)
+        return "";
+    return dump.substr(at, dump.find('\n', at) - at);
+}
+
 TEST(Service, MatchesSequentialCounts)
 {
     ServiceFixture svc("--workers 4");
@@ -976,38 +1149,43 @@ TEST(Service, SigkilledWorkerRecoversToTheExactFixpoint)
     // Aggressive barriers so the kill lands between checkpoints and
     // recovery genuinely reshards a partial exploration.
     ServiceFixture svc("--workers 4 --checkpoint-every 300ms");
+    const ExploreResult ref = germanReference(5);
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0)
+    ASSERT_EQ(svc.client("--submit --features german --n 5" +
+                             parkFlag(ref),
+                         out),
+              0)
         << out;
 
-    // Grab a worker pid from --status, then SIGKILL it mid-flight.
-    pid_t victim = -1;
-    for (int i = 0; i < 100 && victim < 0; ++i) {
-        ASSERT_EQ(svc.client("--status", out), 0) << out;
-        const auto pos = out.find("pids=");
-        if (pos != std::string::npos) {
-            // Second pid of the comma-separated list.
-            const auto comma = out.find(',', pos);
-            if (comma != std::string::npos)
-                victim = static_cast<pid_t>(
-                    std::strtol(out.c_str() + comma + 1, nullptr, 10));
-        }
-        if (victim < 0)
-            ::usleep(20 * 1000);
-    }
-    ASSERT_GT(victim, 0) << "no running worker to kill: " << out;
-    // Let it explore long enough that a checkpoint epoch commits.
-    ::usleep(500 * 1000);
+    // The first attempt holds mid-flight; once it has committed a
+    // checkpoint epoch, SIGKILL its second worker.
+    const std::string line = awaitHeldAttempt(svc, 1, true);
+    ASSERT_FALSE(line.empty()) << "job 1 never held a checkpointed "
+                                  "first attempt";
+    EXPECT_LT(scrapeCount(line, "states"), ref.statesExplored) << line;
+    const pid_t victim = workerPid(line, 1);
+    ASSERT_GT(victim, 0) << "no running worker to kill: " << line;
     ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
     const int rc = svc.client("--wait 1", out);
     svc.stop();
     ASSERT_EQ(rc, 0) << out;
-    const ExploreResult ref = germanReference(5);
     // The differential heart of the test: kill-and-reshard must land
     // on the same fixpoint counts as an undisturbed sequential run.
     EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
     EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+
+    // The ledger shows the kill after a committed epoch, and the
+    // retry resharding onto the three survivors.
+    const std::string dump = journalDump(svc);
+    const std::size_t ckpt = journalAt(dump, "CKPT job=1 ");
+    const std::size_t fail = journalAt(dump, "FAIL job=1 attempt=1 ");
+    ASSERT_NE(ckpt, std::string::npos) << dump;
+    ASSERT_NE(fail, std::string::npos) << dump;
+    EXPECT_LT(ckpt, fail) << dump;
+    EXPECT_NE(journalAt(dump, "START job=1 attempt=2 workers=3\n"),
+              std::string::npos)
+        << dump;
 }
 
 TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
@@ -1020,8 +1198,12 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
     // worker kill into a resume failure and, after the retries
     // burned, an unwarranted quarantine.
     ServiceFixture svc("--workers 4 --checkpoint-every 200ms");
+    const ExploreResult ref = germanReference(5);
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0)
+    ASSERT_EQ(svc.client("--submit --features german --n 5" +
+                             parkFlag(ref),
+                         out),
+              0)
         << out;
     // A fast job queued behind it: it will run (and prune) inside
     // job 1's backoff window after the kill below.
@@ -1030,20 +1212,14 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
               0)
         << out;
 
-    pid_t victim = -1;
-    for (int i = 0; i < 100 && victim < 0; ++i) {
-        ASSERT_EQ(svc.client("--status", out), 0) << out;
-        const auto pos = out.find("pids=");
-        if (pos != std::string::npos)
-            victim = static_cast<pid_t>(
-                std::strtol(out.c_str() + pos + 5, nullptr, 10));
-        if (victim < 0)
-            ::usleep(20 * 1000);
-    }
-    ASSERT_GT(victim, 0) << "no running worker to kill: " << out;
-    // Long enough for a checkpoint epoch to commit, so the retry has
-    // a base it must find intact after job 2's prune.
-    ::usleep(500 * 1000);
+    // Kill only once a checkpoint epoch has committed, so the retry
+    // has a base it must find intact after job 2's prune.
+    const std::string line = awaitHeldAttempt(svc, 1, true);
+    ASSERT_FALSE(line.empty()) << "job 1 never held a checkpointed "
+                                  "first attempt";
+    EXPECT_LT(scrapeCount(line, "states"), ref.statesExplored) << line;
+    const pid_t victim = workerPid(line, 0);
+    ASSERT_GT(victim, 0) << "no running worker to kill: " << line;
     ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
     // The mutant job completes (with its violation verdict) during
@@ -1054,24 +1230,74 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
     const int rc = svc.client("--wait 1", out);
     svc.stop();
     ASSERT_EQ(rc, 0) << out;
-    const ExploreResult ref = germanReference(5);
     EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
     EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+
+    // The interleaving this test exists for, read off the ledger:
+    // checkpoint, kill, job 2 runs to its verdict, THEN job 1 resumes
+    // on the three survivors.
+    const std::string dump = journalDump(svc);
+    const std::size_t ckpt = journalAt(dump, "CKPT job=1 ");
+    const std::size_t fail = journalAt(dump, "FAIL job=1 attempt=1 ");
+    const std::size_t done2 = journalAt(dump, "DONE job=2 ");
+    const std::size_t retry =
+        journalAt(dump, "START job=1 attempt=2 workers=3\n");
+    ASSERT_NE(ckpt, std::string::npos) << dump;
+    ASSERT_NE(fail, std::string::npos) << dump;
+    ASSERT_NE(done2, std::string::npos) << dump;
+    ASSERT_NE(retry, std::string::npos) << dump;
+    EXPECT_LT(ckpt, fail) << dump;
+    EXPECT_LT(done2, retry) << dump;
+}
+
+TEST(Service, HeldAttemptThatNoOneKillsIsRetriedUnheld)
+{
+    // The park hook must never wedge a job: a held attempt that no
+    // test kills freezes the global state count, the no-progress
+    // watchdog fails it after 120 rounds (about 12 s of 100 ms
+    // heartbeats), and the retry runs without the hook, on every
+    // worker.
+    ServiceFixture svc("--workers 2");
+    const ExploreResult ref = germanReference(4);
+    std::string out;
+    const int rc = svc.client("--submit --features german --n 4" +
+                                  parkFlag(ref) + " --wait 0",
+                              out);
+    svc.stop();
+    ASSERT_EQ(rc, 0) << out;
+    EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
+    EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+    const std::string dump = journalDump(svc);
+    EXPECT_NE(journalLine(dump, "FAIL job=1 attempt=1 ")
+                  .find("reason=no progress"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(journalAt(dump, "START job=1 attempt=2 workers=2\n"),
+              std::string::npos)
+        << dump;
 }
 
 TEST(Service, SigkilledCoordinatorReplaysEveryJobExactlyOnce)
 {
     ServiceFixture svc("--workers 2 --checkpoint-every 300ms");
+    const ExploreResult ref = germanReference(5);
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0);
+    ASSERT_EQ(svc.client("--submit --features german --n 5" +
+                             parkFlag(ref),
+                         out),
+              0);
     ASSERT_EQ(svc.client("--submit --features german --n 3", out), 0);
     ASSERT_EQ(svc.client("--submit --features msi --system closed"
                          " --n 2",
                          out),
               0);
-    // Kill the coordinator while job 1 is mid-exploration.
-    ::usleep(400 * 1000);
+    // Kill the coordinator while job 1 is mid-exploration: its first
+    // attempt holds, and has committed a checkpoint epoch.
+    ASSERT_FALSE(awaitHeldAttempt(svc, 1, true).empty())
+        << "job 1 never held a checkpointed first attempt";
     svc.stop(); // SIGKILL, no goodbye
+    const std::string before = journalDump(svc);
+    EXPECT_EQ(occurrences(before, "DONE job=1 "), 0u) << before;
 
     // Crash-only restart: same state dir, drain the queue, exit.
     const pid_t drainer = spawnNeoverify(
@@ -1086,35 +1312,17 @@ TEST(Service, SigkilledCoordinatorReplaysEveryJobExactlyOnce)
         << "drain exited " << st;
 
     // The journal is the ledger: every job DONE exactly once.
-    std::string dump;
-    const std::string dumpCmd = std::string(NEOVERIFY_BIN) +
-                                " --journal " + svc.dir +
-                                "/state/journal.neoj 2>&1";
-    FILE *p = ::popen(dumpCmd.c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    char buf[4096];
-    while (std::fgets(buf, sizeof buf, p) != nullptr)
-        dump += buf;
-    ::pclose(p);
-
+    const std::string dump = journalDump(svc);
     for (int jobId = 1; jobId <= 3; ++jobId) {
-        const std::string needle =
-            "DONE job=" + std::to_string(jobId) + " ";
-        std::size_t count = 0;
-        for (std::size_t at = dump.find(needle);
-             at != std::string::npos;
-             at = dump.find(needle, at + 1))
-            ++count;
+        const std::size_t count = occurrences(
+            dump, "DONE job=" + std::to_string(jobId) + " ");
         EXPECT_EQ(count, 1u)
             << "job " << jobId << " finished " << count
             << " times\n" << dump;
     }
     // And the counts are still the exact sequential fixpoint.
-    const ExploreResult ref = germanReference(5);
-    const auto doneAt = dump.find("DONE job=1 ");
-    ASSERT_NE(doneAt, std::string::npos);
-    const std::string doneLine =
-        dump.substr(doneAt, dump.find('\n', doneAt) - doneAt);
+    const std::string doneLine = journalLine(dump, "DONE job=1 ");
+    ASSERT_FALSE(doneLine.empty()) << dump;
     EXPECT_EQ(scrapeCount(doneLine, "states"), ref.statesExplored);
     EXPECT_EQ(scrapeCount(doneLine, "transitions"),
               ref.transitionsFired);
@@ -1201,12 +1409,7 @@ TEST(Service, SubmitRejectsUnknownModelAtTheDoor)
 std::uint64_t
 runningStates(const std::string &status, int id)
 {
-    const std::string head = "job " + std::to_string(id) + " ";
-    const auto at = status.find(head);
-    if (at == std::string::npos)
-        return ~0ULL;
-    const auto eol = status.find('\n', at);
-    const std::string line = status.substr(at, eol - at);
+    const std::string line = statusLine(status, id);
     if (line.find("RUNNING") == std::string::npos)
         return ~0ULL;
     return scrapeCount(line, "states");
@@ -1250,16 +1453,31 @@ TEST(Service, SigkilledCoordinatorWithConcurrentJobsReplaysExactlyOnce)
 {
     ServiceFixture svc(
         "--workers 2 --max-jobs 2 --checkpoint-every 300ms");
+    const ExploreResult ref5 = germanReference(5);
+    const ExploreResult ref4 = germanReference(4);
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0);
-    ASSERT_EQ(svc.client("--submit --features german --n 4", out), 0);
+    ASSERT_EQ(svc.client("--submit --features german --n 5" +
+                             parkFlag(ref5),
+                         out),
+              0);
+    ASSERT_EQ(svc.client("--submit --features german --n 4" +
+                             parkFlag(ref4),
+                         out),
+              0);
     ASSERT_EQ(svc.client("--submit --features msi --system closed"
                          " --n 2",
                          out),
               0);
-    // Kill the coordinator while (at least) two attempts are live.
-    ::usleep(400 * 1000);
+    // Kill the coordinator while two attempts are live: both german
+    // jobs hold their first attempt, job 1 past a committed epoch.
+    ASSERT_FALSE(awaitHeldAttempt(svc, 1, true).empty())
+        << "job 1 never held a checkpointed first attempt";
+    ASSERT_FALSE(awaitHeldAttempt(svc, 2, false).empty())
+        << "job 2 never ran beside job 1";
     svc.stop(); // SIGKILL, no goodbye
+    const std::string before = journalDump(svc);
+    EXPECT_EQ(occurrences(before, "DONE job=1 "), 0u) << before;
+    EXPECT_EQ(occurrences(before, "DONE job=2 "), 0u) << before;
 
     const pid_t drainer = spawnNeoverify(
         {"--serve", svc.sock, "--state-dir", svc.dir + "/state",
@@ -1272,28 +1490,21 @@ TEST(Service, SigkilledCoordinatorWithConcurrentJobsReplaysExactlyOnce)
     ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0)
         << "drain exited " << st;
 
-    std::string dump;
-    const std::string dumpCmd = std::string(NEOVERIFY_BIN) +
-                                " --journal " + svc.dir +
-                                "/state/journal.neoj 2>&1";
-    FILE *p = ::popen(dumpCmd.c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    char buf[4096];
-    while (std::fgets(buf, sizeof buf, p) != nullptr)
-        dump += buf;
-    ::pclose(p);
+    const std::string dump = journalDump(svc);
     for (int jobId = 1; jobId <= 3; ++jobId) {
-        const std::string needle =
-            "DONE job=" + std::to_string(jobId) + " ";
-        std::size_t count = 0;
-        for (std::size_t at = dump.find(needle);
-             at != std::string::npos;
-             at = dump.find(needle, at + 1))
-            ++count;
+        const std::size_t count = occurrences(
+            dump, "DONE job=" + std::to_string(jobId) + " ");
         EXPECT_EQ(count, 1u)
             << "job " << jobId << " finished " << count << " times\n"
             << dump;
     }
+    // Both interrupted attempts resume to the exact fixpoint.
+    const std::string done1 = journalLine(dump, "DONE job=1 ");
+    const std::string done2 = journalLine(dump, "DONE job=2 ");
+    EXPECT_EQ(scrapeCount(done1, "states"), ref5.statesExplored);
+    EXPECT_EQ(scrapeCount(done1, "transitions"), ref5.transitionsFired);
+    EXPECT_EQ(scrapeCount(done2, "states"), ref4.statesExplored);
+    EXPECT_EQ(scrapeCount(done2, "transitions"), ref4.transitionsFired);
 }
 
 TEST(Service, PoisonJobDoesNotStarveItsNeighbor)

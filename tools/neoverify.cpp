@@ -164,6 +164,12 @@ usage()
         "  --journal PATH    dump a job journal, one record per line\n"
         "  --inject-crash-after N   fault injection: each worker dies\n"
         "                    after N fresh states (tests quarantine)\n"
+        "  --inject-park-after K    fault injection: on the job's first\n"
+        "                    attempt each worker stops expanding after\n"
+        "                    K fresh states but keeps answering pings\n"
+        "                    and checkpointing, so the attempt holds\n"
+        "                    mid-flight (tests time kills by it);\n"
+        "                    retries run unheld\n"
         "exit codes: 0 verified/no violation, 1 violation or bound\n"
         "exceeded, 2 usage error, 5 interrupted (resumable),\n"
         "6 job quarantined as poison, 7 service unavailable\n");
@@ -432,6 +438,7 @@ main(int argc, char **argv)
     std::string journalPath;
     ClientVerbs verbs;
     std::uint64_t crashAfter = 0;
+    std::uint64_t parkAfter = 0;
     std::string joinAddr;
     std::string chaosListen, chaosUpstream, chaosSpecText;
     double netTimeout = 0.0;
@@ -600,6 +607,8 @@ main(int argc, char **argv)
             journalPath = next();
         } else if (arg == "--inject-crash-after") {
             crashAfter = parseU64OrDie(arg, next());
+        } else if (arg == "--inject-park-after") {
+            parkAfter = parseU64OrDie(arg, next());
         } else if (arg == "--shrink") {
             shrink = true;
         } else if (arg == "--mutant") {
@@ -667,6 +676,7 @@ main(int argc, char **argv)
         spec.maxStates = lim.maxStates;
         spec.maxSeconds = lim.maxSeconds;
         spec.crashAfter = crashAfter;
+        spec.parkAfter = parkAfter;
         spec.workers = jobWorkers;
         return runClient(clientSock, verbs, spec, netTimeout);
     }
