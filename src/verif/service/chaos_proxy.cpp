@@ -502,6 +502,9 @@ ChaosProxy::run()
             pfds.push_back({c.client, cev, 0});
             pfds.push_back({c.upstream, uev, 0});
         }
+        // Connections the accept below appends have no pfds entry
+        // this round; they are polled from the next one on.
+        const std::size_t polled = im.conns.size();
         int timeoutMs = 200;
         if (nextHold > 0.0)
             timeoutMs = std::max(
@@ -546,11 +549,11 @@ ChaosProxy::run()
 
         // Forward. pfds[2 + 2k] is conns[k].client, [3 + 2k] its
         // upstream — but conns indexing skips dead entries, so walk
-        // them in the same order the pfds were built.
+        // the polled ones in the same order the pfds were built.
         std::size_t pi = 2;
         const double flushNow = monoNow();
-        for (auto &cp : im.conns) {
-            Impl::Conn &c = *cp;
+        for (std::size_t k = 0; k < polled; ++k) {
+            Impl::Conn &c = *im.conns[k];
             if (c.dead)
                 continue;
             const short crev = pfds[pi].revents;

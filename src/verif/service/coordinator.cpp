@@ -138,6 +138,9 @@ struct PongData
     std::uint64_t invChecks = 0;
     std::uint64_t sent = 0;
     std::uint64_t recv = 0;
+    /** Worker reached its checkpointEveryStates quota and holds the
+     *  rest of its queue until the next barrier. */
+    bool held = false;
 
     bool
     operator==(const PongData &o) const
@@ -146,7 +149,7 @@ struct PongData
                outEmpty == o.outEmpty && queueLen == o.queueLen &&
                states == o.states && transitions == o.transitions &&
                invChecks == o.invChecks && sent == o.sent &&
-               recv == o.recv;
+               recv == o.recv && held == o.held;
     }
 };
 
@@ -423,6 +426,7 @@ Coordinator::startAttempt(Job &job)
             w.putU32(job.ckpt.parts);
             putString(w, opts_.stateDir);
             spec.encode(w);
+            w.putU64(opts_.checkpointEveryStates);
             pw.ch.queueFrame(MsgType::Assign, w.take());
             pw.assigned = true;
             a.workers[idx].remote = true;
@@ -449,6 +453,7 @@ Coordinator::startAttempt(Job &job)
                 cfg.jobId = job.id;
                 cfg.nonce = a.nonce;
                 cfg.heartbeatSeconds = opts_.heartbeatSeconds;
+                cfg.ckptStates = opts_.checkpointEveryStates;
                 runWorkerProcess(cfg, WorkerEndpoints());
             }
             a.workers[idx].pid = pid;
@@ -508,6 +513,7 @@ Coordinator::startAttempt(Job &job)
             cfg.partDir = opts_.stateDir;
             cfg.resumeEpoch = job.ckpt.epoch;
             cfg.resumeParts = job.ckpt.parts;
+            cfg.ckptStates = opts_.checkpointEveryStates;
             WorkerEndpoints eps;
             eps.control = ctl[i][1];
             eps.peers = peerFd[i];
@@ -866,13 +872,15 @@ Coordinator::handleRound(Attempt &a, double now)
 
     std::vector<PongData> round;
     round.reserve(a.workers.size());
-    bool drained = true, allQuiesced = true, anyLoading = false;
+    bool drained = true, allQuiesced = true, anyLoading = false,
+         anyHeld = false;
     std::uint64_t sumStates = 0, sumSent = 0, sumRecv = 0;
     for (const auto &w : a.workers) {
         round.push_back(w.pong);
         drained &= w.pong.outEmpty && w.pong.queueLen == 0;
         allQuiesced &= w.pong.paused && w.pong.outEmpty;
         anyLoading |= w.pong.loading;
+        anyHeld |= w.pong.held;
         sumStates += w.pong.states;
         sumSent += w.pong.sent;
         sumRecv += w.pong.recv;
@@ -917,6 +925,15 @@ Coordinator::handleRound(Attempt &a, double now)
             if (w.alive && w.connected)
                 w.ctl.queueFrame(MsgType::Finish, {});
         return;
+    }
+    if (a.phase == Phase::Run && anyHeld) {
+        // Work-based cadence: a worker has interned its quota of
+        // fresh states since the last barrier and holds the rest of
+        // its queue, so the next pings pause the others for a
+        // barrier. The held flag answers a ping sent after the
+        // worker's last CkptWrite (this round is the latest ping's),
+        // so it can never be a stale echo of the barrier just taken.
+        a.phase = Phase::Quiesce;
     }
     if (a.phase == Phase::Quiesce && !anyLoading && allQuiesced &&
         sumsEq && same) {
@@ -987,6 +1004,7 @@ Coordinator::handleWorkerFrame(Attempt &a, unsigned widx,
           p.invChecks = r.getU64();
           p.sent = r.getU64();
           p.recv = r.getU64();
+          p.held = r.getU8() != 0;
           if (!r.ok())
               return;
           w.pong = p;

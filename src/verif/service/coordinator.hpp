@@ -75,6 +75,12 @@ struct ServeOptions
     /** Checkpoint barrier interval; 0 disables periodic barriers
      *  (recovery then restarts jobs from scratch). */
     double checkpointEverySeconds = 5.0;
+    /** Work-based barrier cadence: each worker holds its queue once it
+     *  has interned this many fresh states since the attempt's start
+     *  or its last barrier, and the coordinator starts a barrier as
+     *  soon as one holds. Combines with checkpointEverySeconds
+     *  (whichever fires first); 0 disables. */
+    std::uint64_t checkpointEveryStates = 0;
     /** Streaming progress interval for --wait clients. */
     double progressEverySeconds = 1.0;
     /** Journal compaction threshold in bytes; 0 disables. */

@@ -133,6 +133,8 @@ struct WorkerRt
     std::uint64_t recvTotal = 0;
     /** Fresh states this attempt interned (crashAfter/parkAfter). */
     std::uint64_t freshInterns = 0;
+    /** freshInterns at the last CkptWrite (ckptStates quota base). */
+    std::uint64_t freshAtBarrier = 0;
 
     /** TCP star topology: no peer mesh; foreign states ride the
      *  control channel as StatesTo frames the coordinator relays. */
@@ -217,6 +219,16 @@ parked(const WorkerRt &rt)
            rt.freshInterns >= rt.cfg->spec.parkAfter;
 }
 
+/** The work-based checkpoint cadence has fired: this worker has
+ *  interned its ckptStates quota since the last barrier and holds the
+ *  rest of its queue until the coordinator's next CkptWrite. */
+bool
+heldForBarrier(const WorkerRt &rt)
+{
+    return rt.cfg->ckptStates != 0 && !rt.queue.empty() &&
+           rt.freshInterns - rt.freshAtBarrier >= rt.cfg->ckptStates;
+}
+
 /** Intern a state this worker owns; fresh states are invariant-
  *  checked, queued for expansion, and counted for the fault-injection
  *  hooks. */
@@ -272,6 +284,7 @@ sendPong(WorkerRt &rt, std::uint32_t seq)
     w.putU64(rt.invChecks);
     w.putU64(rt.sentTotal);
     w.putU64(rt.recvTotal);
+    w.putU8(heldForBarrier(rt) ? 1 : 0);
     rt.ctl.queueFrame(MsgType::Pong, w.take());
 }
 
@@ -430,6 +443,10 @@ serviceControl(WorkerRt &rt)
                            " dropped");
                   break;
               }
+              // Reset the quota before the encode: it answers pings
+              // while it runs, and those pongs must not report a
+              // hold this barrier is already clearing.
+              rt.freshAtBarrier = rt.freshInterns;
               writePartition(rt, r.getU64());
               drainDeferred(rt);
               break;
@@ -684,8 +701,8 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
         const bool ctlFull =
             rt.star && rt.ctl.outPending() >= kCtlHighWater;
         const bool canExpand = !rt.paused && !rt.violated &&
-                               !parked(rt) && !rt.queue.empty() &&
-                               !ctlFull;
+                               !parked(rt) && !heldForBarrier(rt) &&
+                               !rt.queue.empty() && !ctlFull;
         if (!canExpand)
             flushAllBatches(rt); // going idle: nothing may linger
 
@@ -780,8 +797,9 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
 
         if (!rt.paused && !rt.violated &&
             !(rt.star && rt.ctl.outPending() >= kCtlHighWater)) {
-            for (unsigned b = 0; b < kExpandBatch &&
-                                 !rt.queue.empty() && !parked(rt);
+            for (unsigned b = 0;
+                 b < kExpandBatch && !rt.queue.empty() &&
+                 !parked(rt) && !heldForBarrier(rt);
                  ++b)
                 expandOne(rt, cur, succ);
         }
@@ -870,7 +888,9 @@ runJoinAgent(const JoinOptions &opts)
         cfg.resumeEpoch = r.getU64();
         cfg.resumeParts = r.getU32();
         const std::string coordDir = getString(r);
-        if (!r.ok() || !JobSpec::decode(r, cfg.spec)) {
+        const bool decoded = r.ok() && JobSpec::decode(r, cfg.spec);
+        cfg.ckptStates = r.getU64();
+        if (!decoded || !r.ok()) {
             neo_warn("malformed Assign frame; rejoining");
             ch.close();
             continue;

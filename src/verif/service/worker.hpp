@@ -71,6 +71,11 @@ struct WorkerConfig
      *  the path to it) is gone, and the worker exits rather than
      *  explore into the void. */
     double heartbeatSeconds = 1.0;
+    /** Work-based checkpoint cadence (ServeOptions::
+     *  checkpointEveryStates): hold expansion after this many fresh
+     *  states since the attempt's start or the last CkptWrite, and
+     *  say so in every pong until the barrier comes; 0 disables. */
+    std::uint64_t ckptStates = 0;
 };
 
 /** Pool agent (neoverify --join <host:port>): offers this box to the

@@ -1277,6 +1277,33 @@ TEST(Service, HeldAttemptThatNoOneKillsIsRetriedUnheld)
         << dump;
 }
 
+TEST(Service, WorkBasedCheckpointCadenceBanksEpochsAtExactCounts)
+{
+    // --checkpoint-states alone, the clock cadence off: a barrier
+    // whenever a worker has interned K fresh states since the last
+    // one. Each epoch then banks at least K states, so there are at
+    // most states/K of them; the hold must release at every barrier
+    // (at least two epochs), and holding for barriers must not move
+    // a single count. None of this depends on the engine's speed.
+    const ExploreResult ref = germanReference(5);
+    const std::uint64_t k = ref.statesExplored / 64;
+    ServiceFixture svc("--workers 4 --checkpoint-every 0 "
+                       "--checkpoint-states " +
+                       std::to_string(k));
+    std::string out;
+    const int rc =
+        svc.client("--submit --features german --n 5 --wait 0", out);
+    svc.stop();
+    ASSERT_EQ(rc, 0) << out;
+    EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
+    EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+    const std::string dump = journalDump(svc);
+    const std::size_t epochs = occurrences(dump, "CKPT job=1 ");
+    EXPECT_GE(epochs, 2u) << dump;
+    EXPECT_LE(epochs, ref.statesExplored / k) << dump;
+    EXPECT_EQ(occurrences(dump, "START job=1 "), 1u) << dump;
+}
+
 TEST(Service, SigkilledCoordinatorReplaysEveryJobExactlyOnce)
 {
     ServiceFixture svc("--workers 2 --checkpoint-every 300ms");

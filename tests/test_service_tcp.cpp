@@ -376,7 +376,16 @@ struct TcpServiceFixture
         }
     }
 
-    ~TcpServiceFixture() { stop(); }
+    /** The state dir outlives a failing test: its journal and
+     *  serve.log are the postmortem. */
+    ~TcpServiceFixture()
+    {
+        stop();
+        if (!::testing::Test::HasFailure()) {
+            std::error_code ec;
+            fs::remove_all(dir, ec);
+        }
+    }
 };
 
 std::uint64_t
@@ -492,14 +501,18 @@ TEST(ServiceTcp, ChaoticLinksRetryToTheExactFixpointNeverFalseVerify)
     // (false Verified) — the one outcome this design must exclude.
     const std::string coordAddr = pickFreeAddr();
     const std::string proxyAddr = pickFreeAddr();
-    // The checkpoint cadence is wall-clock while the fault schedule
-    // is byte-positional, so the cadence must track engine speed:
-    // PR 10's faster successor generation reaches the same lethal
-    // byte offsets in fewer 200ms ticks, leaving attempts too little
-    // banked progress to converge within the retry budget. 100ms
-    // restores the epochs-per-megabyte the schedule was tuned for.
+    // The fault schedule is byte-positional, so the checkpoint
+    // cadence is work-based too: besides the 100ms clock, a barrier
+    // whenever a worker has interned 1/64 of the reference's states
+    // since the last one (about ten epochs per clean run). A clock
+    // cadence alone banks fewer epochs per megabyte the faster the
+    // engine runs: at 100ms a whole clean run fit in about one
+    // epoch, and the job quarantined in about half the runs with
+    // every attempt dying before its first barrier.
+    const ExploreResult ref = germanReference(5);
     TcpServiceFixture svc(
-        "--workers 4 --checkpoint-every 100ms --retries 14",
+        "--workers 4 --checkpoint-every 100ms --checkpoint-states " +
+            std::to_string(ref.statesExplored / 64) + " --retries 14",
         coordAddr, proxyAddr);
 
     // Calibrated against the ~40MB a german N=5 run routes through
@@ -524,7 +537,6 @@ TEST(ServiceTcp, ChaoticLinksRetryToTheExactFixpointNeverFalseVerify)
     svc.stop();
     proxy.stop();
     ASSERT_EQ(rc, 0) << out << "\nschedule:\n" << proxy.scheduleLog();
-    const ExploreResult ref = germanReference(5);
     EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored)
         << out << "\nschedule:\n" << proxy.scheduleLog();
     EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired)

@@ -113,6 +113,10 @@ usage()
         "  --backoff DUR     first retry delay, doubling (default .5s)\n"
         "  --checkpoint-every DUR   barrier interval while serving\n"
         "                    (default 5s; 0 disables)\n"
+        "  --checkpoint-states K    also barrier whenever a worker has\n"
+        "                    interned K fresh states since the last\n"
+        "                    one: it holds its queue until then\n"
+        "                    (default 0 = off)\n"
         "  --max-jobs N      attempts run concurrently (default 1);\n"
         "                    each gets its own isolated worker set\n"
         "  --progress-every DUR   streaming progress interval for\n"
@@ -556,6 +560,8 @@ main(int argc, char **argv)
         } else if (arg == "--progress-every") {
             serve.progressEverySeconds =
                 parseSecondsOrDie(arg, next());
+        } else if (arg == "--checkpoint-states") {
+            serve.checkpointEveryStates = parseU64OrDie(arg, next());
         } else if (arg == "--journal-compact-bytes") {
             serve.journalCompactBytes = parseU64OrDie(arg, next());
         } else if (arg == "--listen") {
