@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "verif/checkpoint.hpp"
@@ -13,53 +14,209 @@ namespace neo
 namespace
 {
 
-/**
- * Project a concrete state onto its size-<=2 views (Abdulla et al.'s
- * view abstraction): the shared variables (ack counters saturated)
- * extended with every sub-multiset of at most two leaf blocks. The
- * number of views is bounded independently of N, so the view sets of
- * successive instance sizes can converge.
- */
-void
-collectViews(const VState &s, const ModelShape &shape,
-             unsigned saturation,
-             std::set<std::vector<std::uint8_t>> &out)
+// A view key: the shared id in the top 22 bits, then the smaller and
+// the larger block id, each plus one (0 = no block), in 21 bits each.
+constexpr unsigned kBlockBits = 21;
+constexpr std::uint64_t kBlockMask = (1ULL << kBlockBits) - 1;
+/** Ids must stay below these: an all-ones shared field is reserved
+ *  for the empty slot, and a block field holds id + 1. */
+constexpr std::uint64_t kSharedIdLimit =
+    (1ULL << (64 - 2 * kBlockBits)) - 1;
+constexpr std::uint64_t kBlockIdLimit = kBlockMask;
+constexpr std::uint64_t kEmpty = ~0ULL;
+
+/** Intern @p bytes in @p dict; the id must fit its key field. */
+std::uint32_t
+internId(StateStore &dict, const std::uint8_t *bytes,
+         std::uint64_t limit)
 {
-    std::vector<std::uint8_t> shared(
-        s.begin(), s.begin() + static_cast<long>(shape.sharedVars));
-    for (std::size_t idx : shape.saturatedSharedVars) {
-        shared[idx] = static_cast<std::uint8_t>(
-            std::min<unsigned>(shared[idx], saturation));
-    }
-    // Distinct leaf blocks with multiplicity.
-    std::map<std::vector<std::uint8_t>, unsigned> counts;
-    for (std::size_t l = 0; l < shape.numLeaves; ++l) {
-        const auto base = shape.sharedVars + l * shape.leafBlockSize;
-        std::vector<std::uint8_t> block(
-            s.begin() + static_cast<long>(base),
-            s.begin() + static_cast<long>(base + shape.leafBlockSize));
-        ++counts[block];
-    }
-    auto emit = [&](const std::vector<std::uint8_t> *a,
-                    const std::vector<std::uint8_t> *b) {
-        std::vector<std::uint8_t> view = shared;
-        if (a != nullptr)
-            view.insert(view.end(), a->begin(), a->end());
-        if (b != nullptr)
-            view.insert(view.end(), b->begin(), b->end());
-        out.insert(std::move(view));
-    };
-    emit(nullptr, nullptr);
-    for (auto it = counts.begin(); it != counts.end(); ++it) {
-        emit(&it->first, nullptr);
-        if (it->second >= 2)
-            emit(&it->first, &it->first);
-        for (auto jt = std::next(it); jt != counts.end(); ++jt)
-            emit(&it->first, &jt->first);
-    }
+    const std::uint32_t id = dict.intern(bytes).first;
+    neo_assert(id < limit, "view dictionary id overflows its key field");
+    return id;
+}
+
+/** @p lo and @p hi are block fields, block id + 1 or 0 for none: the
+ *  smaller block first, a lone block in @p lo. */
+std::uint64_t
+viewKey(std::uint32_t shared, std::uint64_t lo, std::uint64_t hi)
+{
+    return (static_cast<std::uint64_t>(shared) << (2 * kBlockBits)) |
+           (lo << kBlockBits) | hi;
 }
 
 } // namespace
+
+struct ViewSet::Dictionaries
+{
+    Dictionaries(std::size_t sharedVars, std::size_t blockSize)
+        : shared(sharedVars), blocks(blockSize)
+    {
+    }
+    StateStore shared;
+    StateStore blocks;
+};
+
+ViewSet::ViewSet(const ModelShape &shape, unsigned saturation,
+                 const ViewSet *prev)
+    : shape_(shape), saturation_(saturation),
+      dicts_(prev != nullptr &&
+                     prev->shape_.sharedVars == shape.sharedVars &&
+                     prev->shape_.leafBlockSize == shape.leafBlockSize
+                 ? prev->dicts_
+                 : std::make_shared<Dictionaries>(shape.sharedVars,
+                                                  shape.leafBlockSize)),
+      slots_(1024, kEmpty),
+      // A StateStore reads at least one byte per record.
+      shared_(std::max<std::size_t>(shape.sharedVars, 1), 0),
+      ids_(shape.numLeaves)
+{
+    neo_assert(shape.leafBlockSize > 0,
+               "view abstraction needs leaf blocks");
+}
+
+void
+ViewSet::add(const VState &s)
+{
+    const std::size_t sharedVars = shape_.sharedVars;
+    const std::size_t blockSize = shape_.leafBlockSize;
+    const std::size_t n = shape_.numLeaves;
+    std::copy_n(s.begin(), sharedVars, shared_.begin());
+    for (const std::size_t v : shape_.saturatedSharedVars) {
+        shared_[v] = static_cast<std::uint8_t>(
+            std::min<unsigned>(shared_[v], saturation_));
+    }
+    const std::uint32_t sid =
+        internId(dicts_->shared, shared_.data(), kSharedIdLimit);
+    const std::uint8_t *leaf = s.data() + sharedVars;
+    for (std::size_t l = 0; l < n; ++l, leaf += blockSize)
+        ids_[l] = internId(dicts_->blocks, leaf, kBlockIdLimit);
+    std::sort(ids_.begin(), ids_.end());
+
+    insertKey(viewKey(sid, 0, 0));
+    for (std::size_t i = 0, next = 0; i < n; i = next) {
+        const std::uint64_t a = std::uint64_t{ids_[i]} + 1;
+        for (next = i + 1; next < n && ids_[next] == ids_[i];)
+            ++next;
+        insertKey(viewKey(sid, a, 0));
+        if (next - i >= 2)
+            insertKey(viewKey(sid, a, a));
+        for (std::size_t j = next; j < n; ++j) {
+            if (ids_[j] != ids_[j - 1])
+                insertKey(viewKey(sid, a, std::uint64_t{ids_[j]} + 1));
+        }
+    }
+}
+
+bool
+ViewSet::addView(const std::vector<std::uint8_t> &view)
+{
+    const std::size_t sharedVars = shape_.sharedVars;
+    const std::size_t blockSize = shape_.leafBlockSize;
+    if (view.size() < sharedVars ||
+        (view.size() - sharedVars) % blockSize != 0 ||
+        view.size() > sharedVars + 2 * blockSize)
+        return false;
+    std::copy_n(view.begin(), sharedVars, shared_.begin());
+    const std::uint32_t sid =
+        internId(dicts_->shared, shared_.data(), kSharedIdLimit);
+    std::uint64_t fields[2] = {0, 0};
+    const std::size_t blocks = (view.size() - sharedVars) / blockSize;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        fields[b] = std::uint64_t{internId(
+                        dicts_->blocks,
+                        view.data() + sharedVars + b * blockSize,
+                        kBlockIdLimit)} +
+                    1;
+    }
+    if (blocks == 2 && fields[1] < fields[0])
+        std::swap(fields[0], fields[1]);
+    insertKey(viewKey(sid, fields[0], fields[1]));
+    return true;
+}
+
+void
+ViewSet::insertKey(std::uint64_t key)
+{
+    if (2 * (size_ + 1) > slots_.size()) {
+        std::vector<std::uint64_t> old(2 * slots_.size(), kEmpty);
+        old.swap(slots_);
+        for (const std::uint64_t k : old) {
+            if (k != kEmpty)
+                slots_[slotFor(k)] = k;
+        }
+    }
+    std::uint64_t &slot = slots_[slotFor(key)];
+    if (slot == kEmpty) {
+        slot = key;
+        ++size_;
+    }
+}
+
+std::size_t
+ViewSet::slotFor(std::uint64_t key) const
+{
+    std::uint64_t h = key ^ (key >> 31);
+    h *= 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    while (slots_[i] != key && slots_[i] != kEmpty)
+        i = (i + 1) & mask;
+    return i;
+}
+
+bool
+ViewSet::operator==(const ViewSet &o) const
+{
+    if (dicts_ != o.dicts_ || size_ != o.size_)
+        return false;
+    return std::all_of(slots_.begin(), slots_.end(),
+                       [&](std::uint64_t k) {
+                           return k == kEmpty ||
+                                  o.slots_[o.slotFor(k)] == k;
+                       });
+}
+
+std::vector<std::vector<std::uint8_t>>
+ViewSet::sortedViews() const
+{
+    std::vector<std::vector<std::uint8_t>> out;
+    out.reserve(size_);
+    for (const std::uint64_t k : slots_) {
+        if (k == kEmpty)
+            continue;
+        const std::uint8_t *prefix = dicts_->shared.at(
+            static_cast<std::uint32_t>(k >> (2 * kBlockBits)));
+        std::vector<std::uint8_t> view(prefix,
+                                       prefix + shape_.sharedVars);
+        const std::uint8_t *pair[2] = {nullptr, nullptr};
+        const std::uint64_t fields[2] = {(k >> kBlockBits) & kBlockMask,
+                                         k & kBlockMask};
+        for (int b = 0; b < 2; ++b) {
+            if (fields[b] != 0)
+                pair[b] = dicts_->blocks.at(
+                    static_cast<std::uint32_t>(fields[b] - 1));
+        }
+        const std::size_t blockSize = shape_.leafBlockSize;
+        if (pair[1] != nullptr &&
+            std::memcmp(pair[1], pair[0], blockSize) < 0)
+            std::swap(pair[0], pair[1]);
+        for (const std::uint8_t *block : pair) {
+            if (block != nullptr)
+                view.insert(view.end(), block, block + blockSize);
+        }
+        out.push_back(std::move(view));
+    }
+    // The order of a std::set of byte vectors. The comparator is
+    // spelled out because GCC 12 falsely flags vector's operator<=>
+    // inside std::sort with -Wstringop-overread.
+    using Bytes = std::vector<std::uint8_t>;
+    std::sort(out.begin(), out.end(), [](const Bytes &a, const Bytes &b) {
+        return std::lexicographical_compare(a.begin(), a.end(),
+                                            b.begin(), b.end());
+    });
+    return out;
+}
 
 ParametricResult
 verifyParametric(const ModelFactory &factory, std::size_t from,
@@ -70,7 +227,9 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
     ParametricResult result;
-    std::set<std::vector<std::uint8_t>> prevAbstract;
+    // The last completed instance's views. The dictionaries behind
+    // them live on through every later instance of the same widths.
+    std::optional<ViewSet> prevViews;
     double baseSeconds = 0.0;
     const auto finish = [&]() -> ParametricResult & {
         result.seconds =
@@ -121,8 +280,11 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
             for (const std::uint64_t f : er.ruleFires)
                 w.putU64(f);
         }
-        w.putU64(prevAbstract.size());
-        for (const auto &view : prevAbstract) {
+        const std::vector<std::vector<std::uint8_t>> views =
+            prevViews ? prevViews->sortedViews()
+                      : std::vector<std::vector<std::uint8_t>>{};
+        w.putU64(views.size());
+        for (const auto &view : views) {
             w.putU64(view.size());
             w.putBytes(view.data(), view.size());
         }
@@ -163,11 +325,12 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
             result.perInstance.push_back(std::move(er));
         }
         const std::uint64_t nViews = r.getU64();
+        std::vector<std::vector<std::uint8_t>> views;
         for (std::uint64_t i = 0; r.ok() && i < nViews; ++i) {
             std::vector<std::uint8_t> view(
                 static_cast<std::size_t>(r.getU64()));
             r.getBytes(view.data(), view.size());
-            prevAbstract.insert(std::move(view));
+            views.push_back(std::move(view));
         }
         if (!r.atEnd())
             neo_fatal("cannot resume: ", sweepPath,
@@ -176,6 +339,18 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
             neo_fatal("cannot resume: snapshot sweep starts at N=",
                       sFrom, " with saturation ", sat,
                       "; rerun with the same values");
+        // Re-encode the views under the last completed instance's
+        // shape.
+        if (!result.instanceSizes.empty()) {
+            ModelShape prevShape;
+            factory(result.instanceSizes.back(), prevShape);
+            prevViews.emplace(prevShape, saturation);
+            for (const auto &view : views) {
+                if (!prevViews->addView(view))
+                    neo_fatal("cannot resume: ", sweepPath,
+                              ": malformed sweep snapshot");
+            }
+        }
         startN = from + result.perInstance.size();
         result.resumed = true;
         result.restoredInstances = result.perInstance.size();
@@ -227,13 +402,11 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
         // parallel mode, and the view set is order-insensitive (and
         // rebuilt idempotently on resume: the explorer re-invokes
         // on_state for every restored state).
-        std::set<std::vector<std::uint8_t>> abstractSet;
+        ViewSet views(shape, saturation,
+                      prevViews ? &*prevViews : nullptr);
         const ExploreResult er =
             explore(ts, instLimits, false, true,
-                    [&](const VState &s) {
-                        collectViews(s, shape, saturation,
-                                     abstractSet);
-                    });
+                    [&](const VState &s) { views.add(s); });
 
         if (er.status == VerifStatus::Interrupted) {
             // The inner explorer saved its own snapshot; persist the
@@ -252,7 +425,7 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
 
         result.perInstance.push_back(er);
         result.instanceSizes.push_back(n);
-        result.abstractSetSizes.push_back(abstractSet.size());
+        result.abstractSetSizes.push_back(views.size());
         if (er.resumed)
             result.resumed = true;
 
@@ -275,8 +448,7 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
                     write_sweep_snapshot();
                     result.perInstance.push_back(er);
                     result.instanceSizes.push_back(n);
-                    result.abstractSetSizes.push_back(
-                        abstractSet.size());
+                    result.abstractSetSizes.push_back(views.size());
                 } else {
                     // Definitive verdict; nothing left to resume.
                     removeSnapshot(sweepPath);
@@ -285,19 +457,19 @@ verifyParametric(const ModelFactory &factory, std::size_t from,
             return finish();
         }
 
-        if (n > from && abstractSet == prevAbstract) {
+        if (n > from && views == *prevViews) {
             result.converged = true;
             result.cutoff = n - 1;
             std::ostringstream os;
             os << "abstract reach set converged at cutoff N=" << n - 1
-               << " (" << abstractSet.size()
+               << " (" << views.size()
                << " views); invariants hold for all N";
             result.detail = os.str();
             if (ckptActive)
                 removeSnapshot(sweepPath);
             return finish();
         }
-        prevAbstract = std::move(abstractSet);
+        prevViews = std::move(views);
 
         // Instance N is in the books: advance the sweep snapshot
         // (the instance-level explore snapshot was deleted by the

@@ -28,6 +28,7 @@
 #define NEO_VERIF_PARAMETRIC_HPP
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +56,76 @@ struct ModelShape
 /** Factory producing the model instantiated with N leaves. */
 using ModelFactory =
     std::function<TransitionSystem(std::size_t n, ModelShape &shape)>;
+
+/**
+ * One instance's size-<=2 view set (Abdulla et al.'s view
+ * abstraction): every state contributes its shared variables, ack
+ * counters saturated, extended with each sub-multiset of at most two
+ * of its leaf blocks. The view count is bounded independently of N,
+ * so the sets of successive instance sizes can converge.
+ *
+ * A view is held as one 64-bit key, not as bytes. Two dictionaries
+ * hand out dense ids: a StateStore of stride `sharedVars` for the
+ * saturated shared prefix, and one of stride `leafBlockSize` for leaf
+ * blocks. The key packs the shared id with the smaller and the larger
+ * block id, each plus one, and 0 for an absent block. A state costs
+ * 1 + N dictionary lookups, a sort of its N block ids and at most
+ * 1 + N + N(N-1)/2 key inserts, with no heap allocation per state.
+ *
+ * The set of instance N+1 shares the dictionaries of instance N when
+ * both have the same shared prefix and leaf block widths, so their
+ * keys compare directly. Sets over different widths never compare
+ * equal, as views of different lengths never do.
+ *
+ * add() is not thread-safe; the parallel explorer serializes the
+ * on_state callback that feeds it.
+ */
+class ViewSet
+{
+  public:
+    /** An empty set for one instance. It shares @p prev's
+     *  dictionaries when @p prev has the same prefix and block
+     *  widths, and starts fresh ones otherwise. */
+    ViewSet(const ModelShape &shape, unsigned saturation,
+            const ViewSet *prev = nullptr);
+
+    /** Project one concrete state of this instance. */
+    void add(const VState &s);
+    /** Insert one view given as bytes in sortedViews() form: the
+     *  saturated shared prefix, then zero, one or two leaf blocks
+     *  (the resume path re-encodes snapshot views this way).
+     *  @return false, inserting nothing, when no view of this shape
+     *  has that length. */
+    bool addView(const std::vector<std::uint8_t> &view);
+
+    std::size_t size() const { return size_; }
+    /** Same dictionaries, same size, and every key of one is a key
+     *  of the other. */
+    bool operator==(const ViewSet &o) const;
+
+    /** Every view as bytes: the shared prefix, then the pair's
+     *  blocks in byte order, the strings sorted lexicographically
+     *  (the order of a std::set of byte vectors). */
+    std::vector<std::vector<std::uint8_t>> sortedViews() const;
+
+  private:
+    struct Dictionaries;
+
+    void insertKey(std::uint64_t key);
+    /** The slot holding @p key, or the free slot that would. */
+    std::size_t slotFor(std::uint64_t key) const;
+
+    ModelShape shape_;
+    unsigned saturation_;
+    std::shared_ptr<Dictionaries> dicts_;
+    /** Open-addressed key set: linear probing, power-of-two
+     *  capacity, kEmpty marks a free slot. */
+    std::vector<std::uint64_t> slots_;
+    std::size_t size_ = 0;
+    /** Per-state scratch, reused so add() never allocates. */
+    std::vector<std::uint8_t> shared_;
+    std::vector<std::uint32_t> ids_;
+};
 
 struct ParametricResult
 {

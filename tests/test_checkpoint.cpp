@@ -44,6 +44,7 @@
 #include "verif/models/mutants.hpp"
 #include "verif/parametric.hpp"
 #include "verif/random_walk.hpp"
+#include "view_oracle.hpp"
 
 using namespace neo;
 using namespace neo::verif;
@@ -1130,6 +1131,82 @@ TEST_F(CheckpointTest, SweepImmediateInterruptResumesFromScratch)
     EXPECT_EQ(r.converged, ref.converged);
     EXPECT_EQ(r.cutoff, ref.cutoff);
     EXPECT_EQ(r.abstractSetSizes, ref.abstractSetSizes);
+}
+
+TEST_F(CheckpointTest, SweepSnapshotKeepsTheViewEncoding)
+{
+    // German N=3 has 5,107 states and N=4 28,499: a 10,000-state cap
+    // stops the sweep inside N=4 and keeps a snapshot holding N=3's
+    // views. Uncapped, the sweep converges at N=4 (cutoff 3).
+    TempDir dir;
+    CheckpointConfig cfg;
+    cfg.dir = dir.path();
+    ExploreLimits lim{10'000, 120.0};
+    lim.checkpoint = &cfg;
+    const ParametricResult cut =
+        verifyParametric(germanModelFactory(), 1, 5, lim);
+    ASSERT_EQ(cut.status, VerifStatus::LimitExceeded) << cut.detail;
+    ASSERT_TRUE(snapshotExists(sweepSnapshotPath(cfg)));
+
+    // The reference projection of every N=3 state, in std::set order.
+    ModelShape shape;
+    const TransitionSystem ts3 = buildGermanModel(3, shape);
+    test::OracleViews oracle;
+    explore(ts3, ExploreLimits{100'000, 60.0}, false, true,
+            [&](const VState &s) {
+                test::collectViews(s, shape, 2, oracle);
+            });
+    ASSERT_EQ(oracle.size(), 1'336u);
+
+    ModelShape shape1;
+    std::vector<std::uint8_t> payload;
+    std::string err;
+    ASSERT_TRUE(readSnapshotFile(
+        sweepSnapshotPath(cfg), SnapshotKind::Sweep,
+        modelFingerprint(germanModelFactory()(1, shape1)), payload,
+        err))
+        << err;
+    SnapshotReader r(payload);
+    EXPECT_EQ(r.getU32(), 2u); // saturation
+    EXPECT_EQ(r.getU64(), 1u); // from
+    EXPECT_EQ(r.getU64(), 5u); // to
+    r.getF64();                // elapsed seconds
+    const std::uint64_t nInst = r.getU64();
+    ASSERT_EQ(nInst, 3u);
+    const std::uint64_t kViews[] = {79, 907, 1'336};
+    for (std::uint64_t i = 0; i < nInst; ++i) {
+        EXPECT_EQ(r.getU64(), i + 1); // N
+        EXPECT_EQ(r.getU64(), kViews[i]);
+        for (int f = 0; f < 3; ++f)
+            r.getU64(); // states, transitions, memory
+        r.getF64();     // seconds
+        const std::uint64_t fires = r.getU64();
+        for (std::uint64_t f = 0; f < fires; ++f)
+            r.getU64();
+    }
+    // The view section, record for record: length, then the bytes.
+    ASSERT_EQ(r.getU64(), oracle.size());
+    for (const test::ViewBytes &want : oracle) {
+        ASSERT_EQ(r.getU64(), want.size());
+        test::ViewBytes got(want.size());
+        ASSERT_TRUE(r.getBytes(got.data(), got.size()));
+        ASSERT_EQ(got, want);
+    }
+    EXPECT_TRUE(r.atEnd());
+
+    // Resuming re-encodes those views and finishes the sweep.
+    cfg.resume = true;
+    lim.maxStates = 2'000'000;
+    const ParametricResult done =
+        verifyParametric(germanModelFactory(), 1, 5, lim);
+    EXPECT_EQ(done.status, VerifStatus::Verified) << done.detail;
+    EXPECT_TRUE(done.resumed);
+    EXPECT_EQ(done.restoredInstances, 3u);
+    EXPECT_TRUE(done.converged);
+    EXPECT_EQ(done.cutoff, 3u);
+    EXPECT_EQ(done.abstractSetSizes,
+              (std::vector<std::size_t>{79, 907, 1'336, 1'336}));
+    EXPECT_FALSE(snapshotExists(sweepSnapshotPath(cfg)));
 }
 
 // ----------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 
 #include "verif/explorer.hpp"
@@ -258,6 +259,14 @@ struct GoldenRow
     std::uint64_t traceLen;
     std::uint64_t invariantChecks;
 };
+
+/** Name a row by its model in test names; by default gtest prints
+ *  the row's raw bytes, pointer values included. */
+void
+PrintTo(const GoldenRow &row, std::ostream *os)
+{
+    *os << '"' << row.model << '"';
+}
 
 constexpr GoldenRow kGoldenRows[] = {
     {"german_n3", VerifStatus::Verified, 5107u, 20497u, 20497u, 0x200acc64d40cd6a1ull, "", 0u, 5107u},

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -899,9 +900,16 @@ pid_t
 spawnNeoverify(const std::vector<std::string> &args,
                const std::string &logPath)
 {
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid != 0)
         return pid;
+    // Die with the test process, so a test that aborts leaves no
+    // coordinator serving. The signal follows the forking thread's
+    // exit; every spawn runs on the main test thread.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent)
+        ::_exit(127);
     const int log = ::open(logPath.c_str(),
                            O_CREAT | O_WRONLY | O_APPEND, 0644);
     if (log >= 0) {

@@ -38,6 +38,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -280,9 +281,16 @@ pid_t
 spawnNeoverify(const std::vector<std::string> &args,
                const std::string &logPath)
 {
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid != 0)
         return pid;
+    // Die with the test process, so a test that aborts leaves no
+    // coordinator serving. The signal follows the forking thread's
+    // exit; every spawn runs on the main test thread.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent)
+        ::_exit(127);
     const int log = ::open(logPath.c_str(),
                            O_CREAT | O_WRONLY | O_APPEND, 0644);
     if (log >= 0) {
