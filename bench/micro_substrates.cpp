@@ -112,11 +112,6 @@ BENCHMARK(BM_ModelCheckerThroughput)->Unit(benchmark::kMillisecond);
  * output carries "states" (must be identical across thread counts —
  * the differential guarantee) and the "states_per_sec" rate the bench
  * trajectory tracks for parallel speedup.
- *
- * The second argument selects the frontier: 0 = lock-free MPMC ring
- * (the default engine), 1 = the mutex+deque baseline kept for A/B
- * comparison. CI uploads the JSON so ring-vs-mutex rates are
- * inspectable per run.
  */
 void
 BM_CheckerParallelScaling(benchmark::State &state)
@@ -127,8 +122,6 @@ BM_CheckerParallelScaling(benchmark::State &state)
         buildClosedModel(6, VerifFeatures::neoMESI(), shape);
     ExploreLimits lim{2'000'000, 120.0};
     lim.threads = static_cast<unsigned>(state.range(0));
-    lim.frontier = state.range(1) == 0 ? FrontierKind::Ring
-                                       : FrontierKind::Mutex;
     std::uint64_t states = 0;
     double seconds = 0.0;
     for (auto _ : state) {
@@ -138,8 +131,6 @@ BM_CheckerParallelScaling(benchmark::State &state)
         benchmark::DoNotOptimize(r.statesExplored);
     }
     state.counters["threads"] = static_cast<double>(lim.threads);
-    state.counters["ring"] =
-        lim.frontier == FrontierKind::Ring ? 1.0 : 0.0;
     state.counters["states"] = static_cast<double>(states);
     state.counters["states_per_sec"] =
         seconds > 0.0 ? static_cast<double>(states) *
@@ -148,15 +139,11 @@ BM_CheckerParallelScaling(benchmark::State &state)
                       : 0.0;
 }
 BENCHMARK(BM_CheckerParallelScaling)
-    ->ArgNames({"threads", "mutex"})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -170,64 +170,6 @@ arenaExplore(const TransitionSystem &ts, unsigned threads)
     return out;
 }
 
-/** Capacity-tier run: trace off (capacity experiments don't keep
- *  predecessor links), accounted live memory and tier metrics out. */
-Fixpoint
-tierExplore(const TransitionSystem &ts, unsigned threads,
-            const StoreTierOptions &opts,
-            std::uint64_t *memBytes = nullptr,
-            double *omission = nullptr,
-            std::uint64_t *sheds = nullptr)
-{
-    ExploreLimits lim;
-    lim.maxSeconds = 600.0;
-    lim.threads = threads;
-    lim.store = opts;
-    const ExploreResult r =
-        explore(ts, lim, false, /*keep_trace=*/false);
-    if (memBytes)
-        *memBytes = r.memoryBytes;
-    if (omission)
-        *omission = r.omissionProbability;
-    if (sheds)
-        *sheds = r.spillSheds;
-    Fixpoint out;
-    out.status = r.status;
-    out.states = r.statesExplored;
-    out.transitions = r.transitionsFired;
-    out.ruleFires = r.ruleFires;
-    out.seconds = r.seconds;
-    return out;
-}
-
-/** The tier axis benched on the german models: plain arena, delta
- *  compression, delta + disk spill (1 MB hot budget so the LRU sheds
- *  aggressively), and hash compaction. */
-struct TierRow
-{
-    const char *label;
-    StoreTierOptions opts;
-};
-
-std::vector<TierRow>
-tierRows()
-{
-    std::vector<TierRow> rows;
-    rows.push_back({"plain", {}});
-    TierRow delta{"delta", {}};
-    delta.opts.tier = StoreTier::Delta;
-    rows.push_back(delta);
-    TierRow spill{"delta+spill", {}};
-    spill.opts.tier = StoreTier::Delta;
-    spill.opts.spillDir = "/tmp/neo-bench-spill";
-    spill.opts.hotBytes = 1ULL << 20;
-    rows.push_back(spill);
-    TierRow compact{"compact", {}};
-    compact.opts.tier = StoreTier::Compact;
-    rows.push_back(compact);
-    return rows;
-}
-
 struct BenchModel
 {
     std::string name;
@@ -250,12 +192,10 @@ buildGerman(std::size_t n)
 }
 
 /** Peak RSS of a forked child running @p kind on the model:
- *  0 = build only (baseline), 1 = legacy replica, 2 = new explorer,
- *  3 = tier run (trace off) with @p tier options.
+ *  0 = build only (baseline), 1 = legacy replica, 2 = new explorer.
  *  @return (peak RSS bytes, states explored). */
 std::pair<std::uint64_t, std::uint64_t>
-childPeakRss(const BenchModel &m, int kind,
-             const StoreTierOptions *tier = nullptr)
+childPeakRss(const BenchModel &m, int kind)
 {
     int fds[2];
     if (pipe(fds) != 0) {
@@ -275,8 +215,6 @@ childPeakRss(const BenchModel &m, int kind,
             states = legacyExplore(ts).states;
         else if (kind == 2)
             states = arenaExplore(ts, 1).states;
-        else if (kind == 3)
-            states = tierExplore(ts, 1, *tier).states;
         const ssize_t wr = write(fds[1], &states, sizeof(states));
         (void)wr;
         close(fds[1]);
@@ -373,25 +311,13 @@ main(int argc, char **argv)
     struct RssTriple
     {
         std::uint64_t base, legacy, arena, statesL, statesA;
-        /** Per-tier fork RSS (german models only; indexed like
-         *  tierRows()). NOTE fork RSS is PEAK resident: the spill
-         *  tier's pre-shed pages count even after madvise drops
-         *  them, so the accounted live bytes (below) are the
-         *  capacity metric; both are reported. */
-        std::vector<std::uint64_t> tierRss;
     };
-    const std::vector<TierRow> tiers = tierRows();
     std::vector<RssTriple> rss;
     for (const BenchModel &m : models) {
         RssTriple t{};
         t.base = childPeakRss(m, 0).first;
         std::tie(t.legacy, t.statesL) = childPeakRss(m, 1);
         std::tie(t.arena, t.statesA) = childPeakRss(m, 2);
-        if (m.name.rfind("german", 0) == 0) {
-            for (const TierRow &tr : tiers)
-                t.tierRss.push_back(
-                    childPeakRss(m, 3, &tr.opts).first);
-        }
         rss.push_back(t);
     }
 
@@ -478,94 +404,6 @@ main(int argc, char **argv)
             json.element(c);
         json.endArray();
 
-        // ---- capacity-tier axis (german models) ----
-        if (!rs.tierRss.empty()) {
-            std::printf("  capacity tiers (trace off, accounted live "
-                        "bytes):\n");
-            json.beginArray("tiers");
-            double plainBytes = 0.0;
-            double spillBytes = 0.0;
-            bool tiersEqual = true;
-            bool compactEqual = true;
-            Fixpoint ref; // plain, trace-off, sequential
-            for (std::size_t ti = 0; ti < tiers.size(); ++ti) {
-                const TierRow &tr = tiers[ti];
-                const bool isCompact =
-                    tr.opts.tier == StoreTier::Compact;
-                std::uint64_t mem = 0, sheds = 0;
-                double omis = 0.0;
-                const Fixpoint fx =
-                    tierExplore(ts, 1, tr.opts, &mem, &omis, &sheds);
-                if (ti == 0)
-                    ref = fx;
-                // Exact tiers must agree at every thread count;
-                // compact agreement is expected but probabilistic,
-                // so it is reported, not gated.
-                bool eq = sameFixpoint(ref, fx);
-                for (unsigned th : {2u, 4u, 8u})
-                    eq = eq &&
-                         sameFixpoint(ref,
-                                      tierExplore(ts, th, tr.opts));
-                if (isCompact)
-                    compactEqual = eq;
-                else
-                    tiersEqual = tiersEqual && eq;
-                const double accounted =
-                    static_cast<double>(mem) /
-                    static_cast<double>(fx.states);
-                if (ti == 0)
-                    plainBytes = accounted;
-                if (std::string(tr.label) == "delta+spill")
-                    spillBytes = accounted;
-                const double rssB =
-                    static_cast<double>(rs.tierRss[ti] > rssBase
-                                            ? rs.tierRss[ti] - rssBase
-                                            : 0) /
-                    static_cast<double>(fx.states);
-                std::printf("    %-12s %7.1f B/state accounted  "
-                            "%7.1f B/state fork-RSS  %8.0f states/s"
-                            "  %llu sheds  eq(1/2/4/8): %s\n",
-                            tr.label, accounted, rssB,
-                            fx.states / fx.seconds,
-                            static_cast<unsigned long long>(sheds),
-                            eq ? "yes" : "NO");
-                json.beginObject();
-                json.field("tier", tr.label);
-                json.field("trace", false);
-                json.field("states", fx.states);
-                json.field("seconds", fx.seconds);
-                json.field("accountedBytes", mem);
-                json.field("accountedBytesPerState", accounted);
-                json.field("rssBytes",
-                           rs.tierRss[ti] > rssBase
-                               ? rs.tierRss[ti] - rssBase
-                               : 0);
-                json.field("rssBytesPerState", rssB);
-                json.field("statesPerGB",
-                           accounted > 0.0
-                               ? (1024.0 * 1024.0 * 1024.0) /
-                                     accounted
-                               : 0.0);
-                json.field("spillSheds", sheds);
-                json.field("fixpointEqual", eq);
-                if (isCompact)
-                    json.field("omissionProbability", omis);
-                json.endObject();
-            }
-            json.endArray();
-            const double reduction =
-                spillBytes > 0.0 ? plainBytes / spillBytes : 0.0;
-            std::printf("    delta+spill reduction vs plain: %.1fx "
-                        "(>=10x wanted)   exact tiers equal: %s   "
-                        "compact equal: %s\n\n",
-                        reduction, tiersEqual ? "yes" : "NO",
-                        compactEqual ? "yes" : "NO");
-            json.field("deltaSpillReduction", reduction);
-            json.field("deltaSpillAtLeast10x", reduction >= 10.0);
-            json.field("tiersFixpointEqual", tiersEqual);
-            json.field("compactFixpointEqual", compactEqual);
-            allOk = allOk && tiersEqual;
-        }
         json.endObject();
     }
     json.endArray();

@@ -84,7 +84,7 @@ runScenario(ProtocolVariant v)
                 pretty.replace(pos, raw.size(), name);
         }
         for (const auto &[id, name] : byId) {
-            for (const std::string key :
+            for (const std::string &key :
                  {" src=" + std::to_string(id),
                   " dst=" + std::to_string(id),
                   " target=" + std::to_string(id)}) {

@@ -6,9 +6,9 @@
  * snapshot is only serialized at a pause rendezvous, when every
  * worker is parked at the top of its loop holding no work item — so
  * all in-flight work sits in the per-worker queues, and draining them
- * (WorkQueue::forEach / SpillFrontier::forEach, which walks the
- * lock-free ring AND its spill deque) together with the shard stores
- * yields a consistent cut. The ring's forEach is only legal at such
+ * (SpillFrontier::forEach, which walks the lock-free ring AND its
+ * spill deque) together with the shard stores yields a consistent
+ * cut. The ring's forEach is only legal at such
  * quiescent points (mpmc_ring.hpp); the rendezvous is what grants it.
  *
  * Model fingerprints cover the initial state bytes, variable names,
@@ -39,6 +39,9 @@ namespace
 {
 
 constexpr char kMagic[8] = {'N', 'E', 'O', 'C', 'K', 'P', 'T', '1'};
+/** The one payload layout version: full state bytes. Any other
+ *  version in a header is refused before its payload is read. */
+constexpr std::uint32_t kVersion = 1;
 /** magic + version + kind + fingerprint + payloadSize + payloadCrc. */
 constexpr std::size_t kHeaderBody = 8 + 4 + 4 + 8 + 8 + 4;
 /** ... plus the header's own CRC. */
@@ -79,7 +82,6 @@ getLE64(const std::uint8_t *p)
 /** Parsed+verified header of a snapshot file. */
 struct Header
 {
-    std::uint32_t version = 0;
     std::uint32_t kind = 0;
     std::uint64_t fingerprint = 0;
     std::uint64_t payloadSize = 0;
@@ -104,13 +106,11 @@ readHeader(std::FILE *f, const std::string &path, Header &h,
         return false;
     }
     const std::uint32_t version = getLE32(raw + 8);
-    if (version != kSnapshotVersionFull &&
-        version != kSnapshotVersionCompact) {
+    if (version != kVersion) {
         err = path + ": unsupported snapshot version " +
               std::to_string(version);
         return false;
     }
-    h.version = version;
     h.kind = getLE32(raw + 12);
     h.fingerprint = getLE64(raw + 16);
     h.payloadSize = getLE64(raw + 24);
@@ -284,7 +284,7 @@ bool
 writeSnapshotFile(const std::string &path, SnapshotKind kind,
                   std::uint64_t fingerprint,
                   const std::vector<std::uint8_t> &payload,
-                  std::string &err, unsigned version)
+                  std::string &err)
 {
     std::error_code ec;
     const std::filesystem::path p(path);
@@ -293,7 +293,7 @@ writeSnapshotFile(const std::string &path, SnapshotKind kind,
 
     std::uint8_t header[kHeaderSize];
     std::memcpy(header, kMagic, 8);
-    putLE32(header + 8, version);
+    putLE32(header + 8, kVersion);
     putLE32(header + 12, static_cast<std::uint32_t>(kind));
     putLE64(header + 16, fingerprint);
     putLE64(header + 24, payload.size());
@@ -335,8 +335,7 @@ writeSnapshotFile(const std::string &path, SnapshotKind kind,
 bool
 readSnapshotFile(const std::string &path, SnapshotKind kind,
                  std::uint64_t fingerprint,
-                 std::vector<std::uint8_t> &payload, std::string &err,
-                 unsigned *version)
+                 std::vector<std::uint8_t> &payload, std::string &err)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
@@ -372,8 +371,6 @@ readSnapshotFile(const std::string &path, SnapshotKind kind,
         err = path + ": snapshot payload CRC mismatch (corrupt file)";
         return false;
     }
-    if (version != nullptr)
-        *version = h.version;
     payload = std::move(body);
     return true;
 }
@@ -598,135 +595,6 @@ decodeExploreSnapshotStreamed(
         if (state == nullptr)
             break;
         onState(id, state);
-    }
-    if (meta.hasLinks) {
-        for (std::uint64_t id = 0; id < nStates; ++id) {
-            ExploreSnapshot::Link l;
-            l.parent = r.getU64();
-            l.rule = r.getU32();
-            l.depth = r.getU32();
-            if (l.parent >= nStates || l.rule >= numRules) {
-                err = "snapshot predecessor link out of range";
-                return false;
-            }
-            if (r.ok())
-                onLink(id, l);
-        }
-    }
-    const std::uint64_t nFrontier = r.getU64();
-    if (!r.ok() || nFrontier > payload.size()) {
-        err = "snapshot frontier count is implausible";
-        return false;
-    }
-    for (std::uint64_t n = 0; n < nFrontier; ++n) {
-        const std::uint64_t id = r.getU64();
-        const std::uint32_t depth = r.getU32();
-        const std::uint8_t *state = r.viewBytes(numVars);
-        if (id >= nStates) {
-            err = "snapshot frontier id out of range";
-            return false;
-        }
-        if (state != nullptr)
-            onFrontier(id, depth, state);
-    }
-    if (!r.atEnd()) {
-        err = "snapshot payload has trailing or missing bytes";
-        return false;
-    }
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeCompactExploreSnapshotStreamed(
-    const ExploreSnapshotMeta &meta, std::size_t numVars,
-    unsigned hashBits,
-    const std::function<std::pair<std::uint64_t, std::uint64_t>(
-        std::uint64_t)> &hashAt,
-    const std::function<ExploreSnapshot::Link(std::uint64_t)> &linkAt,
-    std::uint64_t numFrontier,
-    const std::function<std::tuple<std::uint64_t, std::uint32_t,
-                                   const std::uint8_t *>(
-        std::uint64_t)> &frontierAt)
-{
-    SnapshotWriter w;
-    w.putU32(static_cast<std::uint32_t>(numVars));
-    w.putU32(static_cast<std::uint32_t>(meta.ruleFires.size()));
-    w.putU32(hashBits);
-    w.putF64(meta.elapsedSeconds);
-    w.putU64(meta.transitionsFired);
-    for (const std::uint64_t fires : meta.ruleFires)
-        w.putU64(fires);
-    w.putU8(meta.hasLinks ? 1 : 0);
-    w.putU64(meta.numStates);
-    for (std::uint64_t i = 0; i < meta.numStates; ++i) {
-        const auto [lo, hi] = hashAt(i);
-        w.putU64(lo);
-        if (hashBits == 128)
-            w.putU64(hi);
-    }
-    if (meta.hasLinks) {
-        for (std::uint64_t i = 0; i < meta.numStates; ++i) {
-            const ExploreSnapshot::Link l = linkAt(i);
-            w.putU64(l.parent);
-            w.putU32(l.rule);
-            w.putU32(l.depth);
-        }
-    }
-    // Unlike version 1, the frontier must carry its own bytes — the
-    // visited set has none to share.
-    w.putU64(numFrontier);
-    for (std::uint64_t n = 0; n < numFrontier; ++n) {
-        const auto [id, depth, state] = frontierAt(n);
-        w.putU64(id);
-        w.putU32(depth);
-        w.putBytes(state, numVars);
-    }
-    return w.take();
-}
-
-bool
-decodeCompactExploreSnapshotStreamed(
-    const std::vector<std::uint8_t> &payload, std::size_t numVars,
-    std::size_t numRules, ExploreSnapshotMeta &meta,
-    unsigned &hashBits,
-    const std::function<void(std::uint64_t numStates)> &beginStates,
-    const std::function<void(std::uint64_t id, std::uint64_t lo,
-                             std::uint64_t hi)> &onHash,
-    const std::function<void(std::uint64_t id,
-                             const ExploreSnapshot::Link &link)>
-        &onLink,
-    const std::function<void(std::uint64_t id, std::uint32_t depth,
-                             const std::uint8_t *state)> &onFrontier,
-    std::string &err)
-{
-    SnapshotReader r(payload);
-    if (r.getU32() != numVars || r.getU32() != numRules) {
-        err = "snapshot variable/rule counts do not match the model";
-        return false;
-    }
-    hashBits = r.getU32();
-    if (hashBits != 64 && hashBits != 128) {
-        err = "compact snapshot has an unsupported fingerprint width";
-        return false;
-    }
-    meta.elapsedSeconds = r.getF64();
-    meta.transitionsFired = r.getU64();
-    meta.ruleFires.assign(numRules, 0);
-    for (std::size_t i = 0; i < numRules; ++i)
-        meta.ruleFires[i] = r.getU64();
-    meta.hasLinks = r.getU8() != 0;
-    const std::uint64_t nStates = r.getU64();
-    if (!r.ok() || nStates > payload.size()) {
-        err = "snapshot state count is implausible";
-        return false;
-    }
-    meta.numStates = nStates;
-    beginStates(nStates);
-    for (std::uint64_t id = 0; id < nStates; ++id) {
-        const std::uint64_t lo = r.getU64();
-        const std::uint64_t hi = hashBits == 128 ? r.getU64() : 0;
-        if (r.ok())
-            onHash(id, lo, hi);
     }
     if (meta.hasLinks) {
         for (std::uint64_t id = 0; id < nStates; ++id) {

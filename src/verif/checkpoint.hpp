@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "verif/transition_system.hpp"
@@ -127,14 +126,6 @@ class SnapshotReader
     bool ok_ = true;
 };
 
-/** Snapshot payload layout versions. Version 1 carries full state
- *  bytes and can resume into ANY store tier (plain, delta, spill —
- *  the tiers re-encode on intern); version 2 is the hash-compaction
- *  layout (fingerprints for the visited set, full states only for
- *  the frontier) and can only resume a `--compact-hashes` run. */
-inline constexpr unsigned kSnapshotVersionFull = 1;
-inline constexpr unsigned kSnapshotVersionCompact = 2;
-
 /**
  * Atomically write a snapshot file: header (magic, version, kind,
  * model fingerprint, payload size + CRC, header CRC) followed by the
@@ -145,21 +136,19 @@ inline constexpr unsigned kSnapshotVersionCompact = 2;
 bool writeSnapshotFile(const std::string &path, SnapshotKind kind,
                        std::uint64_t fingerprint,
                        const std::vector<std::uint8_t> &payload,
-                       std::string &err,
-                       unsigned version = kSnapshotVersionFull);
+                       std::string &err);
 
 /**
  * Read and validate a snapshot file. Magic, version, header CRC,
  * payload CRC, kind and fingerprint must all verify; any mismatch
  * (truncated file, flipped bytes, snapshot of a different model or
- * mode) fails with a precise @p err and an untouched @p payload.
- * @p version (optional) receives the file's payload-layout version
- * so the caller can pick the matching decoder.
+ * mode, a version this build does not write) fails with a precise
+ * @p err and an untouched @p payload.
  */
 bool readSnapshotFile(const std::string &path, SnapshotKind kind,
                       std::uint64_t fingerprint,
                       std::vector<std::uint8_t> &payload,
-                      std::string &err, unsigned *version = nullptr);
+                      std::string &err);
 
 /** Read just the model fingerprint from a snapshot header; 0 if the
  *  file is missing or its header does not verify. */
@@ -287,49 +276,6 @@ bool decodeExploreSnapshotStreamed(
     const std::function<void(std::uint64_t numStates)> &beginStates,
     const std::function<void(std::uint64_t id,
                              const std::uint8_t *state)> &onState,
-    const std::function<void(std::uint64_t id,
-                             const ExploreSnapshot::Link &link)>
-        &onLink,
-    const std::function<void(std::uint64_t id, std::uint32_t depth,
-                             const std::uint8_t *state)> &onFrontier,
-    std::string &err);
-
-// ---------------------------------------------------------------
-// Hash-compaction explore snapshot (payload version 2)
-// ---------------------------------------------------------------
-
-/**
- * Compact-mode snapshot: the visited set is fingerprints only (8 or
- * 16 bytes each), so full bytes exist solely for the unexpanded
- * frontier (whose states the engine still holds in its queues).
- * Written with file version kSnapshotVersionCompact; a full-state
- * engine must refuse it — the visited states are unrecoverable.
- *
- * @param hashBits 64 or 128; 64-bit snapshots omit the hi word
- * @param hashAt (lo, hi) fingerprint of dense id i
- * @param frontierAt (dense id, depth, state bytes) of entry n
- */
-std::vector<std::uint8_t> encodeCompactExploreSnapshotStreamed(
-    const ExploreSnapshotMeta &meta, std::size_t numVars,
-    unsigned hashBits,
-    const std::function<std::pair<std::uint64_t, std::uint64_t>(
-        std::uint64_t)> &hashAt,
-    const std::function<ExploreSnapshot::Link(std::uint64_t)> &linkAt,
-    std::uint64_t numFrontier,
-    const std::function<std::tuple<std::uint64_t, std::uint32_t,
-                                   const std::uint8_t *>(
-        std::uint64_t)> &frontierAt);
-
-/** Mirror of decodeExploreSnapshotStreamed for the compact layout;
- *  @p hashBits receives the snapshot's fingerprint width, which must
- *  match the resuming store's --compact-hashes width. */
-bool decodeCompactExploreSnapshotStreamed(
-    const std::vector<std::uint8_t> &payload, std::size_t numVars,
-    std::size_t numRules, ExploreSnapshotMeta &meta,
-    unsigned &hashBits,
-    const std::function<void(std::uint64_t numStates)> &beginStates,
-    const std::function<void(std::uint64_t id, std::uint64_t lo,
-                             std::uint64_t hi)> &onHash,
     const std::function<void(std::uint64_t id,
                              const ExploreSnapshot::Link &link)>
         &onLink,

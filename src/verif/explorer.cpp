@@ -5,7 +5,6 @@
 
 #include "verif/checkpoint.hpp"
 #include "verif/parallel_explorer.hpp"
-#include "verif/state_ring.hpp"
 #include "verif/state_store.hpp"
 
 namespace neo
@@ -62,7 +61,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     // (trace reconstruction) are flat arrays indexed by it.
     StateStore store(ts.numVars(), explorePresizeHint(limits),
                      nullptr, limits.store);
-    const bool compact = store.tier() == StoreTier::Compact;
     std::vector<std::uint32_t> parentIds;
     std::vector<std::uint32_t> parentRules;
     // Runtime copy of keep_trace: memory-pressure degradation (below)
@@ -118,12 +116,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     if (const std::uint64_t hint = explorePresizeHint(limits))
         work.reserve(static_cast<std::size_t>(hint));
     auto frontierSize = [&]() { return work.size() - workHead; };
-    // Compact tier: the visited set holds no bytes, so the frontier
-    // must carry full states until expansion. pending.at(n) is the
-    // state of work[workHead + n] — pushed and popped in lockstep,
-    // packed at numVars bytes per slot (state_ring.hpp) instead of
-    // one heap-allocated VState per unexpanded state.
-    StateRing pending(ts.numVars());
     // Enabled-rule bitsets carried with the frontier (index path): W
     // words per work item, mirrored through every push / consume /
     // compact / rollback `work` sees. A cleared ok-byte (resumed
@@ -165,9 +157,8 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
 
     auto estimate_memory = [&]() -> std::uint64_t {
         // Arena payload + open-addressing table, measured not
-        // modeled — memoryBytes() counts exactly the hot regions
-        // (mmap'd slabs shed to the spill tier charge nothing) plus
-        // the delta tier's anchor index.
+        // modeled — memoryBytes() includes the delta tier's anchor
+        // index.
         std::uint64_t bytes = store.memoryBytes();
         if (tracing)
             bytes += parentIds.size() * sizeof(std::uint32_t) +
@@ -176,26 +167,15 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
         if (useIndex)
             bytes += frontierSize() *
                      (W * sizeof(std::uint64_t) + 1);
-        bytes += pending.memoryBytes();
         // Serializing a snapshot buffers the whole image once more;
         // the limit must cover that transient or the checkpoint that
         // is meant to save the run OOMs it instead.
         if (ckptActive) {
             bytes += store.size() *
-                     ((compact ? store.compactBits() / 8
-                               : ts.numVars()) +
-                      (tracing ? 16 : 0));
+                     (ts.numVars() + (tracing ? 16 : 0));
             bytes += frontierSize() * (ts.numVars() + 12);
         }
         return bytes;
-    };
-
-    auto note_store = [&]() {
-        result.compactHashes = compact;
-        if (compact)
-            result.omissionProbability = compactOmissionProbability(
-                store.size(), store.compactBits());
-        result.spillSheds = store.spillSheds();
     };
 
     auto fail_invariants = [&](const VState &s) -> const char * {
@@ -242,32 +222,12 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                 parentRules[static_cast<std::size_t>(i)],
                 depth[static_cast<std::size_t>(i)]};
         };
-        std::vector<std::uint8_t> payload;
-        if (compact) {
-            // Version-2 layout: visited fingerprints + a frontier
-            // that carries its own bytes (only `pending` has them).
-            payload = encodeCompactExploreSnapshotStreamed(
-                meta, ts.numVars(), store.compactBits(),
-                [&](std::uint64_t i) {
-                    return store.hashAt(
-                        static_cast<std::uint32_t>(i));
-                },
-                linkAt, frontierSize(),
-                [&](std::uint64_t n) {
-                    const std::uint32_t id =
-                        work[workHead + static_cast<std::size_t>(n)];
-                    return std::tuple<std::uint64_t, std::uint32_t,
-                                      const std::uint8_t *>{
-                        id, tracing ? depth[id] : 0,
-                        pending.at(static_cast<std::size_t>(n))};
-                });
-        } else {
-            // Version-1 full-state layout, whatever the tier: delta
-            // records are reconstructed on the way out, which is
-            // exactly what lets a snapshot taken under one tier
-            // resume under any other.
-            VState scratch;
-            payload = encodeExploreSnapshotStreamed(
+        // Full-state layout, whatever the tier: delta records are
+        // reconstructed on the way out, which is exactly what lets a
+        // snapshot taken under one tier resume under the other.
+        VState scratch;
+        const std::vector<std::uint8_t> payload =
+            encodeExploreSnapshotStreamed(
                 meta, ts.numVars(),
                 [&](std::uint64_t i) -> const std::uint8_t * {
                     store.copyTo(static_cast<std::uint32_t>(i),
@@ -281,12 +241,9 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                     return std::pair<std::uint64_t, std::uint32_t>{
                         id, tracing ? depth[id] : 0};
                 });
-        }
         std::string err;
         if (!writeSnapshotFile(ckptPath, SnapshotKind::Explore,
-                               fingerprint, payload, err,
-                               compact ? kSnapshotVersionCompact
-                                       : kSnapshotVersionFull)) {
+                               fingerprint, payload, err)) {
             neo_warn("checkpoint not written: ", err);
             return;
         }
@@ -298,15 +255,9 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     if (ckptActive && ckpt->resume && snapshotExists(ckptPath)) {
         std::vector<std::uint8_t> payload;
         std::string err;
-        unsigned version = kSnapshotVersionFull;
         if (!readSnapshotFile(ckptPath, SnapshotKind::Explore,
-                              fingerprint, payload, err, &version))
+                              fingerprint, payload, err))
             neo_fatal("cannot resume: ", err);
-        if (version == kSnapshotVersionCompact && !compact)
-            neo_fatal("cannot resume: ", ckptPath,
-                      ": snapshot was written by --compact-hashes "
-                      "(visited states are fingerprints only); "
-                      "resume with --compact-hashes");
         ExploreSnapshotMeta meta;
         auto beginStates = [&](std::uint64_t nStates) {
             store.reserve(nStates);
@@ -326,45 +277,24 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             }
         };
         auto onFrontier = [&](std::uint64_t id, std::uint32_t,
-                              const std::uint8_t *state) {
+                              const std::uint8_t *) {
             work.push_back(static_cast<std::uint32_t>(id));
             // Snapshots don't carry enabled bitsets; resumed items
             // get a full guard scan at expansion time.
             pushFrontierBits(false);
-            if (compact)
-                pending.push_back(state);
         };
-        bool okDecode;
-        if (version == kSnapshotVersionCompact) {
-            unsigned hashBits = 0;
-            okDecode = decodeCompactExploreSnapshotStreamed(
-                payload, ts.numVars(), rules.size(), meta, hashBits,
-                beginStates,
-                [&](std::uint64_t, std::uint64_t lo,
-                    std::uint64_t hi) { store.insertHash(lo, hi); },
-                onLink, onFrontier, err);
-            if (okDecode && hashBits != store.compactBits())
-                neo_fatal("cannot resume: ", ckptPath, ": snapshot "
-                          "uses ",
-                          hashBits, "-bit fingerprints, this run ",
-                          store.compactBits(), "-bit");
-        } else {
-            // Full-state snapshot: re-interning encodes into
-            // WHATEVER tier this run uses — plain, delta and spill
-            // runs resume each other's snapshots freely (and a
-            // compact run can downgrade a full snapshot to hashes).
-            okDecode = decodeExploreSnapshotStreamed(
-                payload, ts.numVars(), rules.size(), meta,
-                beginStates,
-                [&](std::uint64_t, const std::uint8_t *state) {
-                    store.intern(state);
-                    if (on_state) {
-                        cur.assign(state, state + ts.numVars());
-                        on_state(cur);
-                    }
-                },
-                onLink, onFrontier, err);
-        }
+        // Re-interning encodes into WHATEVER tier this run uses, so
+        // plain and delta runs resume each other's snapshots.
+        const bool okDecode = decodeExploreSnapshotStreamed(
+            payload, ts.numVars(), rules.size(), meta, beginStates,
+            [&](std::uint64_t, const std::uint8_t *state) {
+                store.intern(state);
+                if (on_state) {
+                    cur.assign(state, state + ts.numVars());
+                    on_state(cur);
+                }
+            },
+            onLink, onFrontier, err);
         if (!okDecode)
             neo_fatal("cannot resume: ", ckptPath, ": ", err);
         baseSeconds = meta.elapsedSeconds;
@@ -395,8 +325,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             on_state(init);
         work.push_back(0);
         pushFrontierBits(false);
-        if (compact)
-            pending.push_back(init.data());
 
         if (const char *inv = fail_invariants(init)) {
             result.status = VerifStatus::InvariantViolated;
@@ -404,7 +332,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             result.badState = ts.describe(init);
             result.statesExplored = 1;
             result.seconds = elapsed();
-            note_store();
             return result;
         }
     }
@@ -427,20 +354,11 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
         }
         if (limits.maxMemoryBytes != 0) {
             std::uint64_t mem = estimate_memory();
-            if (mem > limits.maxMemoryBytes &&
-                store.spillEnabled()) {
-                // Memory-pressure ladder, first rung: shed the
-                // store's cold regions to disk. Data survives (it
-                // faults back on demand), so this happens BEFORE
-                // anything lossy — links are only shed, and EXCEEDED
-                // only returned, if disk alone cannot get us under.
-                store.shedCold();
-                mem = estimate_memory();
-            }
             if (mem > limits.maxMemoryBytes && ckptActive && tracing) {
-                // Second rung: snapshot what we have, then shed the
-                // predecessor links (the single largest optional
-                // structure) and keep exploring without traces.
+                // Memory-pressure ladder: snapshot what we have, then
+                // shed the predecessor links (the single largest
+                // optional structure) and keep exploring without
+                // traces.
                 write_snapshot();
                 parentIds.clear();
                 parentIds.shrink_to_fit();
@@ -497,13 +415,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             }
             workHead = 0;
         }
-        if (compact) {
-            cur.assign(pending.front(),
-                       pending.front() + ts.numVars());
-            pending.pop_front();
-        } else {
-            store.copyTo(id, cur);
-        }
+        store.copyTo(id, cur);
 
         if (useIndex) {
             // ---- Dependency-indexed expansion ----
@@ -548,15 +460,12 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                             workBitsOk.begin() +
                                 static_cast<std::ptrdiff_t>(workHead),
                             1);
-                        if (compact)
-                            pending.push_front(cur.data());
                         if (ckptActive)
                             write_snapshot();
                         result.status = VerifStatus::LimitExceeded;
                         result.statesExplored = store.size();
                         result.seconds = elapsed();
                         result.memoryBytes = estimate_memory();
-                        note_store();
                         return result;
                     }
                     ++result.transitionsFired;
@@ -647,7 +556,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                             result.statesExplored = store.size();
                             result.seconds = elapsed();
                             result.memoryBytes = estimate_memory();
-                            note_store();
                             if (ckptActive)
                                 removeSnapshot(ckptPath);
                             return result;
@@ -693,8 +601,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                         }
                         work.push_back(nid);
                         pushFrontierBits(true);
-                        if (compact)
-                            pending.push_back(succ->data());
                     }
                     if (inPlace)
                         CompiledRules::undoEffect(cur, undoLog.data(),
@@ -707,7 +613,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                 result.statesExplored = store.size();
                 result.seconds = elapsed();
                 result.memoryBytes = estimate_memory();
-                note_store();
                 if (ckptActive)
                     removeSnapshot(ckptPath);
                 return result;
@@ -755,15 +660,12 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                 work.insert(work.begin() +
                                 static_cast<std::ptrdiff_t>(workHead),
                             id);
-                if (compact)
-                    pending.push_front(cur.data());
                 if (ckptActive)
                     write_snapshot();
                 result.status = VerifStatus::LimitExceeded;
                 result.statesExplored = store.size();
                 result.seconds = elapsed();
                 result.memoryBytes = estimate_memory();
-                note_store();
                 return result;
             }
             const std::uint32_t r = batchRule[k];
@@ -791,14 +693,11 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                 result.statesExplored = store.size();
                 result.seconds = elapsed();
                 result.memoryBytes = estimate_memory();
-                note_store();
                 if (ckptActive)
                     removeSnapshot(ckptPath);
                 return result;
             }
             work.push_back(nid);
-            if (compact)
-                pending.push_back(next.data());
         }
 
         if (detect_deadlock && !any_enabled) {
@@ -807,7 +706,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             result.statesExplored = store.size();
             result.seconds = elapsed();
             result.memoryBytes = estimate_memory();
-            note_store();
             if (ckptActive)
                 removeSnapshot(ckptPath);
             return result;
@@ -817,7 +715,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     result.statesExplored = store.size();
     result.seconds = elapsed();
     result.memoryBytes = estimate_memory();
-    note_store();
     // A finished fixpoint has nothing left to resume; only
     // interrupted and bound-exceeded runs keep their snapshot.
     if (ckptActive && result.status == VerifStatus::Verified)

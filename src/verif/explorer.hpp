@@ -30,19 +30,6 @@ struct CheckpointConfig; // checkpoint.hpp
  *  visited tables and work queues accordingly. */
 inline constexpr std::uint64_t kDefaultMaxStates = 20'000'000;
 
-/** Parallel frontier implementation. Ring is the production path
- *  (bounded lock-free MPMC rings + per-worker spill deques,
- *  mpmc_ring.hpp); Mutex keeps the pre-ring mutex-guarded vector
- *  queue alive as the A/B baseline BM_CheckerParallelScaling and the
- *  CI ring-vs-mutex artifact compare against. Both reach the same
- *  fixpoint (the differential suites run the contract; the frontier
- *  only changes expansion order, which was already unordered). */
-enum class FrontierKind : std::uint8_t
-{
-    Ring = 0,
-    Mutex = 1,
-};
-
 struct ExploreLimits
 {
     std::uint64_t maxStates = kDefaultMaxStates;
@@ -63,13 +50,10 @@ struct ExploreLimits
      *  Interrupted), degrades gracefully under memory pressure, and
      *  can resume an earlier snapshot to the identical fixpoint. */
     const CheckpointConfig *checkpoint = nullptr;
-    /** State-store capacity tier (plain/delta/compact) and spill
-     *  configuration (state_store.hpp). With a spill dir set, the
-     *  memory-pressure ladder becomes: snapshot, shed cold store
-     *  regions to disk, shed trace links, and only then EXCEEDED. */
+    /** State-store capacity tier (plain/delta) and the test-only hash
+     *  override (state_store.hpp), forwarded to every store an engine
+     *  builds. */
     StoreTierOptions store = {};
-    /** Parallel frontier implementation (ignored when threads <= 1). */
-    FrontierKind frontier = FrontierKind::Ring;
     /** Dependency-indexed successor generation (transition_system.hpp
      *  RuleDepIndex): carry the parent's enabled-rule bitset with
      *  each frontier item, re-evaluate only guards whose read-set
@@ -143,16 +127,6 @@ struct ExploreResult
     std::uint64_t checkpointsWritten = 0;
     /** Serialized size of the most recent snapshot, bytes. */
     std::uint64_t lastSnapshotBytes = 0;
-    /** The run used hash compaction: statesExplored counts DISTINCT
-     *  FINGERPRINTS, and a Verified verdict is only sound up to
-     *  omissionProbability. Callers must surface both. */
-    bool compactHashes = false;
-    /** Stern–Dill omission probability for this run's state count
-     *  and fingerprint width (0 outside compact mode). */
-    double omissionProbability = 0.0;
-    /** Store regions shed to the mmap cold tier (LRU evictions plus
-     *  memory-pressure sheds); 0 without --spill-dir. */
-    std::uint64_t spillSheds = 0;
     /** Guard predicates actually evaluated (full scans + delta
      *  re-evaluations). Unlike invariantChecks this counts PHYSICAL
      *  evaluations, so index-on vs index-off runs differ — that gap

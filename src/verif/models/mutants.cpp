@@ -95,7 +95,11 @@ keepVarAcrossEffect(TransitionSystem &ts, const std::string &rule,
 std::string
 leafVar(std::size_t i, const char *field)
 {
-    return "l" + std::to_string(i) + "." + std::string(field);
+    std::string name = "l";
+    name += std::to_string(i);
+    name += '.';
+    name += field;
+    return name;
 }
 
 /** Other leaves' indices of one per-leaf variable. */
@@ -333,10 +337,11 @@ makeRegistry()
             TransitionSystem ts = buildGermanModel(2, shape);
             for (std::size_t i = 0; i < 2; ++i) {
                 for (std::size_t j = 0; j < 2; ++j) {
-                    weakenGuard(
-                        ts, "sendGntE_" + std::to_string(i),
-                        ts.varIndex("c" + std::to_string(j) + ".shr"),
-                        0);
+                    std::string shr = "c";
+                    shr += std::to_string(j);
+                    shr += ".shr";
+                    weakenGuard(ts, "sendGntE_" + std::to_string(i),
+                                ts.varIndex(shr), 0);
                 }
             }
             return ts;

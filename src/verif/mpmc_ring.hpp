@@ -194,10 +194,6 @@ class SpillFrontier
     {
     }
 
-    /** Pre-sizing hook (interface parity with the mutex queue); the
-     *  ring is fixed-size and the deque grows on demand. */
-    void reserve(std::size_t) {}
-
     /** Never fails: full ring -> spill deque. */
     void
     push(T v)

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "verif/checkpoint.hpp"
@@ -23,8 +24,8 @@ namespace
 /** Shard count; a power of two so the hash folds with a mask. */
 constexpr std::size_t kShardCount = 64;
 
-/** Vector block + bookkeeping slack charged per work queue in the
- *  memory estimate, so N queues' standing overhead counts against
+/** Spill-deque block + bookkeeping slack charged per work queue in
+ *  the memory estimate, so N queues' standing overhead counts against
  *  maxMemoryBytes even when nearly empty. */
 constexpr std::uint64_t kQueueSlackBytes = 4096;
 
@@ -52,14 +53,12 @@ struct Shard
 
 /** A frontier entry is the packed id + BFS depth; the state bytes
  *  stay in the owning shard's arena and are re-read at expansion
- *  time (see the store's lock-free copyTo() contract) — EXCEPT under
- *  hash compaction, where the arena has no bytes and the item must
- *  carry the full state until it is expanded. */
+ *  time (see the store's lock-free copyTo() contract). Trivially
+ *  copyable, so a ring cell holds it with no heap indirection. */
 struct WorkItem
 {
     std::uint64_t id = 0;
     std::uint32_t depth = 0;
-    VState state; ///< populated only in compact mode
     /** The state's enabled-rule bitset, carried inline (4 words =
      *  256 rules; systems with more rules skip the dependency index
      *  rather than heap-allocating per frontier item). Valid only
@@ -69,80 +68,13 @@ struct WorkItem
     std::uint8_t bitsOk = 0;
 };
 
-/** Mutex-guarded queue over a flat vector. The owner consumes from
- *  the front (oldest first, keeping expansion approximately
- *  breadth-first, hence short counterexamples); thieves take from the
- *  back so they don't contend with the owner's end. This is the
- *  pre-ring frontier, kept alive as FrontierKind::Mutex — the A/B
- *  baseline the ring-vs-mutex bench artifact compares against. */
-class WorkQueue
-{
-  public:
-    void
-    reserve(std::size_t n)
-    {
-        q_.reserve(n);
-    }
+static_assert(std::is_trivially_copyable_v<WorkItem>);
 
-    /** Standing footprint beyond kQueueSlackBytes (none: the vector's
-     *  live items are charged per-frontier-item by the engine). */
-    std::uint64_t memoryBytes() const { return 0; }
-
-    void
-    push(WorkItem w)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        q_.push_back(w);
-    }
-
-    bool
-    pop(WorkItem &out)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        if (head_ == q_.size())
-            return false;
-        out = q_[head_++];
-        if (head_ >= 4096 && head_ * 2 >= q_.size()) {
-            q_.erase(q_.begin(),
-                     q_.begin() + static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
-        return true;
-    }
-
-    bool
-    steal(WorkItem &out)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        if (head_ == q_.size())
-            return false;
-        out = q_.back();
-        q_.pop_back();
-        return true;
-    }
-
-    /** Visit every queued item (checkpoint serialization; called only
-     *  while all workers are paused, so contention-free). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        for (std::size_t i = head_; i < q_.size(); ++i)
-            fn(q_[i]);
-    }
-
-  private:
-    std::mutex mu_;
-    std::vector<WorkItem> q_;
-    std::size_t head_ = 0;
-};
-
-/** The production frontier: a bounded lock-free MPMC ring with a
- *  spill deque for overflow (default-constructible so the queue array
- *  builds like WorkQueue's). Owner pops and thieves steal from the
- *  same ring — the ring is FIFO, so expansion order stays
- *  approximately breadth-first. */
+/** The frontier: a bounded lock-free MPMC ring with a spill deque for
+ *  overflow (default-constructible so one queue per worker builds as
+ *  a plain vector). Owner pops and thieves steal from the same ring —
+ *  the ring is FIFO, so expansion order stays approximately
+ *  breadth-first. */
 struct RingQueue : SpillFrontier<WorkItem>
 {
     RingQueue() : SpillFrontier<WorkItem>(kRingCapacity) {}
@@ -154,18 +86,12 @@ packId(std::size_t shard, std::uint32_t local)
     return (static_cast<std::uint64_t>(shard) << 32) | local;
 }
 
-/**
- * The engine body, templated over the frontier queue so the ring and
- * mutex frontiers compile to separate specializations with zero
- * dispatch inside the worker loop (exploreParallel() below selects
- * one from ExploreLimits::frontier).
- */
-template <class Queue>
+} // namespace
+
 ExploreResult
-exploreParallelImpl(const TransitionSystem &ts,
-                    const ExploreLimits &limits, bool detect_deadlock,
-                    bool keep_trace,
-                    const std::function<void(const VState &)> &on_state)
+exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
+                bool detect_deadlock, bool keep_trace,
+                const std::function<void(const VState &)> &on_state)
 {
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
@@ -203,27 +129,11 @@ exploreParallelImpl(const TransitionSystem &ts,
     double baseSeconds = 0.0;
 
     const std::uint64_t presize = explorePresizeHint(limits);
-    // Per-shard tier options: the spill hot budget is a PROCESS
-    // budget, so each of the 64 shard stores gets its slice.
-    StoreTierOptions shardOpts = limits.store;
-    if (!shardOpts.spillDir.empty()) {
-        const std::uint64_t totalHot = shardOpts.hotBytes != 0
-                                           ? shardOpts.hotBytes
-                                           : (256ULL << 20);
-        shardOpts.hotBytes =
-            std::max<std::uint64_t>(totalHot / kShardCount, 1 << 16);
-    }
-    const bool compact =
-        shardOpts.tier == StoreTier::Compact;
     std::vector<Shard> shards(kShardCount);
     for (auto &sh : shards)
         sh.store = std::make_unique<StateStore>(
-            numVars, presize / kShardCount, nullptr, shardOpts);
-    std::vector<Queue> queues(nthreads);
-    if (presize != 0) {
-        for (auto &q : queues)
-            q.reserve(static_cast<std::size_t>(presize / nthreads));
-    }
+            numVars, presize / kShardCount, nullptr, limits.store);
+    std::vector<RingQueue> queues(nthreads);
     // Standing queue footprint (ring cell arrays + slack), fixed for
     // the run, charged once in the memory estimate below.
     std::uint64_t queueFixedBytes = 0;
@@ -285,13 +195,9 @@ exploreParallelImpl(const TransitionSystem &ts,
     auto estimate_memory = [&]() -> std::uint64_t {
         const bool tracing = traceOn.load(std::memory_order_relaxed);
         const std::uint64_t per_trace = tracing ? 16 : 0;
-        const std::uint64_t per_frontier =
-            sizeof(WorkItem) + (compact ? numVars : 0);
+        const std::uint64_t per_frontier = sizeof(WorkItem);
         const std::uint64_t per_ckpt_state =
-            ckptActive ? (compact ? shardOpts.compactBits / 8
-                                  : numVars) +
-                             (tracing ? 16 : 0)
-                       : 0;
+            ckptActive ? numVars + (tracing ? 16 : 0) : 0;
         const std::uint64_t per_ckpt_frontier =
             ckptActive ? numVars + 12 : 0;
         const std::uint64_t structural =
@@ -303,46 +209,6 @@ exploreParallelImpl(const TransitionSystem &ts,
                inFlight.load(std::memory_order_relaxed) *
                    (per_frontier + per_ckpt_frontier) +
                structural;
-    };
-
-    // Memory-pressure rung 1 (lossless): shed every shard store's
-    // cold mmap regions to disk and re-measure. Serialized by shedMu
-    // so racing workers don't stampede the 64 shard locks; the
-    // re-check under the lock turns followers into no-ops. @return
-    // true when the estimate is back under the budget.
-    std::mutex shedMu;
-    auto try_shed = [&]() -> bool {
-        if (limits.store.spillDir.empty())
-            return false;
-        std::lock_guard<std::mutex> sg(shedMu);
-        if (estimate_memory() <= limits.maxMemoryBytes)
-            return true; // another worker already shed
-        std::uint64_t total = 0;
-        for (auto &sh : shards) {
-            std::lock_guard<std::mutex> g(sh.mu);
-            sh.store->shedCold();
-            total += sh.store->memoryBytes();
-        }
-        storeBytes.store(total, std::memory_order_relaxed);
-        return estimate_memory() <= limits.maxMemoryBytes;
-    };
-
-    // Stamp the tier-dependent result fields; every return path
-    // funnels through this so compact verdicts always carry their
-    // omission probability and spill runs their shed count.
-    auto note_store = [&]() {
-        std::uint64_t visited = 0;
-        std::uint64_t sheds = 0;
-        for (const Shard &s : shards) {
-            visited += s.store->size();
-            sheds += s.store->spillSheds();
-        }
-        result.spillSheds = sheds;
-        if (compact) {
-            result.compactHashes = true;
-            result.omissionProbability = compactOmissionProbability(
-                visited, shardOpts.compactBits);
-        }
     };
 
     // With @p affInv (a row from depIdx.affectedInvariants) the sweep
@@ -460,46 +326,17 @@ exploreParallelImpl(const TransitionSystem &ts,
                 shards[sh].ruleOf[local], depth};
         };
 
-        std::vector<std::uint8_t> payload;
-        if (compact) {
-            // Compact frontier items carry their own bytes (the
-            // arenas have none); copy them out while forEach holds
-            // each queue's lock.
-            std::vector<ExploreSnapshot::FrontierItem> frontier;
-            for (auto &q : queues) {
-                q.forEach([&](const WorkItem &w) {
-                    ExploreSnapshot::FrontierItem fi;
-                    fi.id = dense(w.id);
-                    fi.depth = w.depth;
-                    fi.state = w.state;
-                    frontier.push_back(std::move(fi));
-                });
-            }
-            payload = encodeCompactExploreSnapshotStreamed(
-                meta, numVars, shardOpts.compactBits,
-                [&](std::uint64_t i) {
-                    const std::size_t sh = shardOf(i);
-                    return shards[sh].store->hashAt(
-                        static_cast<std::uint32_t>(i - prefix[sh]));
-                },
-                linkAt, frontier.size(),
-                [&](std::uint64_t n) {
-                    const auto &fi =
-                        frontier[static_cast<std::size_t>(n)];
-                    return std::tuple<std::uint64_t, std::uint32_t,
-                                      const std::uint8_t *>{
-                        fi.id, fi.depth, fi.state.data()};
-                });
-        } else {
-            std::vector<std::pair<std::uint64_t, std::uint32_t>>
-                frontier;
-            for (auto &q : queues) {
-                q.forEach([&](const WorkItem &w) {
-                    frontier.emplace_back(dense(w.id), w.depth);
-                });
-            }
-            VState scratch;
-            payload = encodeExploreSnapshotStreamed(
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> frontier;
+        for (auto &q : queues) {
+            q.forEach([&](const WorkItem &w) {
+                frontier.emplace_back(dense(w.id), w.depth);
+            });
+        }
+        // Full-state layout, whatever the tier: delta records are
+        // reconstructed on the way out.
+        VState scratch;
+        const std::vector<std::uint8_t> payload =
+            encodeExploreSnapshotStreamed(
                 meta, numVars,
                 [&](std::uint64_t i) -> const std::uint8_t * {
                     const std::size_t sh = shardOf(i);
@@ -512,12 +349,9 @@ exploreParallelImpl(const TransitionSystem &ts,
                 [&](std::uint64_t n) {
                     return frontier[static_cast<std::size_t>(n)];
                 });
-        }
         std::string err;
         if (!writeSnapshotFile(ckptPath, SnapshotKind::Explore,
-                               fingerprint, payload, err,
-                               compact ? kSnapshotVersionCompact
-                                       : kSnapshotVersionFull)) {
+                               fingerprint, payload, err)) {
             neo_warn("checkpoint not written: ", err);
             return;
         }
@@ -529,15 +363,9 @@ exploreParallelImpl(const TransitionSystem &ts,
     if (ckptActive && ckpt->resume && snapshotExists(ckptPath)) {
         std::vector<std::uint8_t> payload;
         std::string err;
-        unsigned version = kSnapshotVersionFull;
         if (!readSnapshotFile(ckptPath, SnapshotKind::Explore,
-                              fingerprint, payload, err, &version))
+                              fingerprint, payload, err))
             neo_fatal("cannot resume: ", err);
-        if (version == kSnapshotVersionCompact && !compact)
-            neo_fatal("cannot resume: ", ckptPath,
-                      ": snapshot was written by --compact-hashes "
-                      "(visited states are fingerprints only); "
-                      "resume with --compact-hashes");
         ExploreSnapshotMeta meta;
         // Pass 1 (onState): shard-major reinsertion; the shard of a
         // state is a pure hash, so each lands where the writer had
@@ -568,56 +396,25 @@ exploreParallelImpl(const TransitionSystem &ts,
             shards[sh].depthOf.push_back(l.depth);
         };
         auto onFrontier = [&](std::uint64_t id, std::uint32_t depth,
-                              const std::uint8_t *state) {
-            WorkItem w;
-            w.id = denseToPacked[static_cast<std::size_t>(id)];
-            w.depth = depth;
-            if (compact)
-                w.state.assign(state, state + numVars);
-            queues[nq++ % nthreads].push(std::move(w));
+                              const std::uint8_t *) {
+            queues[nq++ % nthreads].push(WorkItem{
+                denseToPacked[static_cast<std::size_t>(id)], depth});
         };
-        bool okDecode;
-        if (version == kSnapshotVersionCompact) {
-            unsigned hashBits = 0;
-            okDecode = decodeCompactExploreSnapshotStreamed(
-                payload, numVars, rules.size(), meta, hashBits,
-                beginStates,
-                [&](std::uint64_t id, std::uint64_t lo,
-                    std::uint64_t hi) {
-                    // Shard selection must match the worker loop's
-                    // (low hash bits), so the fingerprint re-lands
-                    // in the shard that owned it.
-                    const std::size_t sh = lo & (kShardCount - 1);
-                    const std::uint32_t local =
-                        shards[sh].store->insertHash(lo, hi).first;
-                    denseToPacked[static_cast<std::size_t>(id)] =
-                        packId(sh, local);
-                },
-                onLink, onFrontier, err);
-            if (okDecode && hashBits != shardOpts.compactBits)
-                neo_fatal("cannot resume: ", ckptPath, ": snapshot "
-                          "uses ",
-                          hashBits, "-bit fingerprints, this run ",
-                          shardOpts.compactBits, "-bit");
-        } else {
-            okDecode = decodeExploreSnapshotStreamed(
-                payload, numVars, rules.size(), meta, beginStates,
-                [&](std::uint64_t id, const std::uint8_t *state) {
-                    const std::uint64_t h = stateHash(state, numVars);
-                    const std::size_t sh = h & (kShardCount - 1);
-                    const std::uint32_t local =
-                        shards[sh]
-                            .store->internHashed(state, h)
-                            .first;
-                    denseToPacked[static_cast<std::size_t>(id)] =
-                        packId(sh, local);
-                    if (on_state) {
-                        scratch.assign(state, state + numVars);
-                        on_state(scratch);
-                    }
-                },
-                onLink, onFrontier, err);
-        }
+        const bool okDecode = decodeExploreSnapshotStreamed(
+            payload, numVars, rules.size(), meta, beginStates,
+            [&](std::uint64_t id, const std::uint8_t *state) {
+                const std::uint64_t h = stateHash(state, numVars);
+                const std::size_t sh = h & (kShardCount - 1);
+                const std::uint32_t local =
+                    shards[sh].store->internHashed(state, h).first;
+                denseToPacked[static_cast<std::size_t>(id)] =
+                    packId(sh, local);
+                if (on_state) {
+                    scratch.assign(state, state + numVars);
+                    on_state(scratch);
+                }
+            },
+            onLink, onFrontier, err);
         if (!okDecode)
             neo_fatal("cannot resume: ", ckptPath, ": ", err);
         baseSeconds = meta.elapsedSeconds;
@@ -668,14 +465,10 @@ exploreParallelImpl(const TransitionSystem &ts,
             result.statesExplored = 1;
             result.invariantChecks =
                 invChecksTotal.load(std::memory_order_relaxed);
-            note_store();
             result.seconds = elapsed();
             return result;
         }
-        WorkItem seed{initId, 0, {}};
-        if (compact)
-            seed.state = init;
-        queues[0].push(std::move(seed));
+        queues[0].push(WorkItem{initId, 0});
         inFlight.store(1, std::memory_order_relaxed);
     }
 
@@ -735,10 +528,6 @@ exploreParallelImpl(const TransitionSystem &ts,
             elapsed() - lastCkptSeconds >= ckpt->everySeconds;
         const bool memBound = limits.maxMemoryBytes != 0;
         std::uint64_t mem = memBound ? estimate_memory() : 0;
-        // Ladder rung 1 (lossless, no snapshot needed): shed cold
-        // store regions to disk before escalating to a rendezvous.
-        if (memBound && mem > limits.maxMemoryBytes && try_shed())
-            mem = estimate_memory();
         const bool wantMemory =
             memBound && (mem > limits.maxMemoryBytes ||
                          (!nearLimitSnapshotDone &&
@@ -766,10 +555,6 @@ exploreParallelImpl(const TransitionSystem &ts,
             report_interrupted();
         } else if (memBound) {
             mem = estimate_memory();
-            // Rung 1 again post-snapshot (the snapshot buffer may
-            // have paged regions back in), then the lossy rung.
-            if (mem > limits.maxMemoryBytes && try_shed())
-                mem = estimate_memory();
             if (mem > limits.maxMemoryBytes &&
                 traceOn.load(std::memory_order_relaxed)) {
                 // Shed the predecessor links — exact counts survive,
@@ -852,26 +637,19 @@ exploreParallelImpl(const TransitionSystem &ts,
                     limits.maxStates ||
                 elapsed() > limits.maxSeconds ||
                 (!ckptActive && limits.maxMemoryBytes != 0 &&
-                 estimate_memory() > limits.maxMemoryBytes &&
-                 !try_shed())) {
+                 estimate_memory() > limits.maxMemoryBytes)) {
                 report_limit();
                 inFlight.fetch_sub(1, std::memory_order_release);
                 break;
             }
             // The popped id was published through the frontier (the
-            // push's release store / the queue mutex) after its bytes
-            // were interned under the owning shard's mutex, so this
-            // lock-free arena read is happens-after the write (see
-            // mpmc_ring.hpp's happens-before contract). Compact
-            // stores hold fingerprints only; the bytes ride in the
-            // work item instead.
-            if (compact)
-                cur = std::move(item.state);
-            else
-                shards[item.id >> 32].store->copyTo(
-                    static_cast<std::uint32_t>(item.id &
-                                               0xffffffffULL),
-                    cur);
+            // push's release store) after its bytes were interned
+            // under the owning shard's mutex, so this lock-free arena
+            // read is happens-after the write (see mpmc_ring.hpp's
+            // happens-before contract).
+            shards[item.id >> 32].store->copyTo(
+                static_cast<std::uint32_t>(item.id & 0xffffffffULL),
+                cur);
 
             // GENERATE: fire every enabled rule into the batch. With
             // the index, a valid parent bitset replaces the full
@@ -1009,7 +787,7 @@ exploreParallelImpl(const TransitionSystem &ts,
                                     item.id & 0xffffffffULL)
                               : StateStore::kNoId;
                 const std::uint8_t *baseBytes =
-                    sameShard && !compact ? cur.data() : nullptr;
+                    sameShard ? cur.data() : nullptr;
                 std::size_t processed = groupSize;
                 std::int64_t freshCount = 0;
                 std::uint64_t grewBy;
@@ -1139,7 +917,7 @@ exploreParallelImpl(const TransitionSystem &ts,
                                          item.depth + 1);
                         continue; // bad states are not expanded
                     }
-                    WorkItem w{nid, item.depth + 1, {}};
+                    WorkItem w{nid, item.depth + 1};
                     if (ident && curBitsOk) {
                         // Identity successor with a valid parent
                         // bitset: copy it and re-evaluate only the
@@ -1170,9 +948,7 @@ exploreParallelImpl(const TransitionSystem &ts,
                         guardSkippedL += R - nAff;
                         w.bitsOk = 1;
                     }
-                    if (compact)
-                        w.state = nx;
-                    pushList.push_back(std::move(w));
+                    pushList.push_back(w);
                 }
                 gi = ge;
             }
@@ -1189,8 +965,8 @@ exploreParallelImpl(const TransitionSystem &ts,
             if (!pushList.empty()) {
                 inFlight.fetch_add(pushList.size(),
                                    std::memory_order_relaxed);
-                for (auto &w : pushList)
-                    queues[wid].push(std::move(w));
+                for (const WorkItem &w : pushList)
+                    queues[wid].push(w);
             }
             inFlight.fetch_sub(1, std::memory_order_release);
         }
@@ -1245,7 +1021,6 @@ exploreParallelImpl(const TransitionSystem &ts,
     result.statesExplored = visited;
     result.memoryBytes = estimate_memory();
     result.degradedTrace = degradedTrace;
-    note_store();
 
     result.status = termStatus;
     if (termStatus == VerifStatus::InvariantViolated) {
@@ -1280,20 +1055,6 @@ exploreParallelImpl(const TransitionSystem &ts,
 
     result.seconds = elapsed();
     return result;
-}
-
-} // namespace
-
-ExploreResult
-exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
-                bool detect_deadlock, bool keep_trace,
-                const std::function<void(const VState &)> &on_state)
-{
-    if (limits.frontier == FrontierKind::Mutex)
-        return exploreParallelImpl<WorkQueue>(
-            ts, limits, detect_deadlock, keep_trace, on_state);
-    return exploreParallelImpl<RingQueue>(
-        ts, limits, detect_deadlock, keep_trace, on_state);
 }
 
 } // namespace neo

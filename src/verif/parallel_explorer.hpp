@@ -14,19 +14,16 @@
  * through the precompiled flat guard/effect tables (CompiledRules,
  * transition_system.hpp) into per-worker scratch, the successors are
  * interned shard-group-at-a-time under one lock acquisition per
- * group, and the surviving work is published to the ring once. The
- * pre-ring mutex-vector frontier survives as FrontierKind::Mutex
- * (explorer.hpp), the A/B baseline the scaling bench compares
- * against. DESIGN.md module 19 carries the full happens-before
- * argument.
+ * group, and the surviving work is published to the ring once.
+ * DESIGN.md module 19 carries the full happens-before argument.
  *
  * Equivalence contract with the sequential explorer (locked in by
  * tests/test_parallel_explorer.cpp): at a fixpoint, the set of
  * visited canonical states is identical — each state is inserted into
  * exactly one shard and expanded exactly once — so statesExplored,
  * transitionsFired, ruleFires, invariantChecks and the final status
- * are equal for any thread count and either frontier kind. What is
- * NOT bit-identical across thread counts: the discovery order of
+ * are equal for any thread count. What is NOT bit-identical across
+ * thread counts: the discovery order of
  * states (on_state callback order), the counterexample trace (any
  * predecessor-chain of the first violation discovered is reported;
  * parallel expansion order is only approximately breadth-first), and

@@ -86,11 +86,6 @@ RandomWalkExplorer::run() const
     const std::size_t R = rules.size();
     const std::size_t W = depIdx.ruleWords();
 
-    if (opt_.store.tier != StoreTier::Plain ||
-        !opt_.store.spillDir.empty())
-        neo_warn("random walk keeps no visited set; --store-tier/"
-                 "--compact-hashes/--spill-dir have no effect here");
-
     const CheckpointConfig *ckpt = opt_.checkpoint;
     const bool ckptActive = ckpt != nullptr && !ckpt->dir.empty();
     const std::string ckptPath =

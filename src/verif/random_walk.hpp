@@ -50,11 +50,6 @@ struct WalkOptions
      *  per-walk RNG streams are pure functions of (seed, index), which
      *  makes the resumed totals identical to an uninterrupted run. */
     const CheckpointConfig *checkpoint = nullptr;
-    /** State-store capacity tier, accepted for CLI uniformity. Walks
-     *  keep NO visited set (their memory is O(depth), not O(states)),
-     *  so a non-default tier changes nothing; the walker warns once
-     *  and ignores it rather than silently implying capacity help. */
-    StoreTierOptions store = {};
     /** Dependency-indexed stepping (transition_system.hpp
      *  RuleDepIndex): keep the enabled-rule bitset across steps and
      *  re-evaluate only guards the fired rule could have changed,

@@ -47,13 +47,8 @@ ShrinkResult
 shrinkTrace(const TransitionSystem &ts,
             const std::vector<std::uint32_t> &trace,
             const std::string &invariantName,
-            std::uint64_t searchBudget,
-            const StoreTierOptions &store)
+            std::uint64_t searchBudget)
 {
-    if (store.tier == StoreTier::Compact)
-        neo_fatal("shrinkTrace: --compact-hashes stores fingerprints "
-                  "only; shrinking needs exact state identity — rerun "
-                  "without hash compaction to shrink");
     ShrinkResult result;
     result.rawLength = trace.size();
     result.violatedInvariant = invariantName;
@@ -89,7 +84,7 @@ shrinkTrace(const TransitionSystem &ts,
             const auto &canon = ts.canonicalizer();
             // Interned dedup: states are appended once per step, so
             // an arena id IS the trace position of its first visit.
-            StateStore seen(ts.numVars(), 0, nullptr, store);
+            StateStore seen(ts.numVars());
             VState s = ts.initialState();
             if (canon)
                 canon(s);
@@ -145,7 +140,7 @@ shrinkTrace(const TransitionSystem &ts,
         // States live in the interning store; a violating state
         // returns before anything else is interned, so arena ids and
         // the parent/depth flat arrays stay aligned.
-        StateStore seen(ts.numVars(), 0, nullptr, store);
+        StateStore seen(ts.numVars());
         seen.intern(start);
         std::vector<long> parentOf{-1};
         std::vector<std::uint32_t> ruleInto{0};

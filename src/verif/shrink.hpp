@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "verif/random_walk.hpp"
-#include "verif/state_store.hpp"
 #include "verif/transition_system.hpp"
 
 namespace neo
@@ -61,20 +60,11 @@ struct ShrinkResult
  * (at most @p searchBudget states expanded in total, so the phase
  * stays local on instances far too large to exhaust), then delete
  * firing windows down to single steps. The result is 1-minimal.
- *
- * @p store selects the capacity tier of the shrinker's internal
- * visited stores (cycle elimination and the re-routing search), so a
- * capacity-constrained run can shrink under the same budget it
- * explored under. Fatal on StoreTier::Compact: shrinking requires
- * exact state identity (a fingerprint-only dedup could splice two
- * DIFFERENT states and fabricate an invalid "counterexample"), which
- * is exactly the soundness hash compaction gives up.
  */
 ShrinkResult shrinkTrace(const TransitionSystem &ts,
                          const std::vector<std::uint32_t> &trace,
                          const std::string &invariantName,
-                         std::uint64_t searchBudget = 50'000,
-                         const StoreTierOptions &store = {});
+                         std::uint64_t searchBudget = 50'000);
 
 } // namespace neo
 

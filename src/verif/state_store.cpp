@@ -1,17 +1,7 @@
 #include "verif/state_store.hpp"
 
-#include <bit>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <new>
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "sim/io_retry.hpp"
 #include "sim/logging.hpp"
 
 namespace neo
@@ -59,18 +49,6 @@ decodeVarint(const std::uint8_t *&p)
     }
 }
 
-/** Monotone file id for spill slabs: unique within the process even
- *  when 64 parallel shards allocate concurrently-created stores. */
-std::uint64_t
-nextSpillSeq()
-{
-    static std::uint64_t seq = 0;
-    // Callers hold their shard lock, but two DIFFERENT stores may
-    // allocate at once; a relaxed atomic would do, yet plain
-    // __atomic keeps this header-free.
-    return __atomic_fetch_add(&seq, 1, __ATOMIC_RELAXED);
-}
-
 } // namespace
 
 const char *
@@ -81,25 +59,8 @@ storeTierName(StoreTier t)
         return "plain";
     case StoreTier::Delta:
         return "delta";
-    case StoreTier::Compact:
-        return "compact";
     }
     return "?";
-}
-
-double
-compactOmissionProbability(std::uint64_t states, unsigned bits)
-{
-    if (states < 2)
-        return 0.0;
-    // P(omission) = 1 - exp(-n(n-1) / 2^(bits+1)); long double keeps
-    // n^2 exact to 2^64 and expm1 keeps the tiny-p regime honest
-    // (1e-12 must not round to 0 in a report about unsoundness).
-    const long double n = static_cast<long double>(states);
-    const long double expected =
-        n * (n - 1.0L) * std::pow(0.5L, static_cast<int>(bits) + 1);
-    const long double p = -std::expm1(-expected);
-    return static_cast<double>(p);
 }
 
 StateStore::StateStore(std::size_t stride,
@@ -109,16 +70,8 @@ StateStore::StateStore(std::size_t stride,
       hash_(opts.hash != nullptr
                 ? opts.hash
                 : (hash != nullptr ? hash : &stateHash)),
-      tier_(opts.tier), compactBits_(opts.compactBits),
-      anchorEvery_(opts.anchorEvery), spill_(!opts.spillDir.empty()),
-      spillDir_(opts.spillDir),
-      hotBudget_(opts.hotBytes != 0 ? opts.hotBytes
-                                    : (256ULL << 20))
+      tier_(opts.tier), anchorEvery_(opts.anchorEvery)
 {
-    if (compactBits_ != 64 && compactBits_ != 128)
-        neo_fatal("hash compaction supports 64 or 128 bit "
-                  "fingerprints, not ",
-                  compactBits_);
     if (anchorEvery_ < 1)
         anchorEvery_ = 1;
     if (anchorEvery_ > 255)
@@ -126,7 +79,6 @@ StateStore::StateStore(std::size_t stride,
 
     states_.elemSize = stride_;
     index_.elemSize = 8;
-    hashes_.elemSize = compactBits_ == 128 ? 16 : 8;
     bytes_.elemSize = 1;
     // A delta record never exceeds stride_ + 16 bytes (bigger diffs
     // fall back to an anchor), so the first byte slab must fit one.
@@ -134,28 +86,17 @@ StateStore::StateStore(std::size_t stride,
     if ((1ULL << bytes_.firstLog2) < stride_ + 16)
         bytes_.firstLog2 = log2Ceil(stride_ + 16);
 
-    unsigned firstLog2 = 10;
     std::uint64_t cap = kMinCapacity;
     if (expectedStates > 0) {
         // 0.75 load factor: capacity > expected * 4/3.
         while (cap * 3 / 4 <= expectedStates)
             cap <<= 1;
-        firstLog2 = log2Ceil(expectedStates);
+        unsigned firstLog2 = log2Ceil(expectedStates);
         if (firstLog2 < 10)
             firstLog2 = 10;
+        states_.firstLog2 = firstLog2;
+        index_.firstLog2 = firstLog2;
     }
-    states_.firstLog2 = firstLog2;
-    index_.firstLog2 = firstLog2;
-    hashes_.firstLog2 = firstLog2;
-
-    // Create the spill dir BEFORE the first allocation (the probe
-    // table below is itself spillable) — one level, like mkdir(1)
-    // without -p, so "--spill-dir /tmp/spill" just works; a deeper
-    // missing path still falls back to heap with a warning at the
-    // first slab.
-    if (spill_)
-        ::mkdir(spillDir_.c_str(), 0700);
-
     lgCapacity_ = log2Ceil(cap);
     allocTable(cap);
 
@@ -167,131 +108,10 @@ StateStore::StateStore(std::size_t stride,
 
 StateStore::~StateStore()
 {
-    for (int r = 0; r < static_cast<int>(regions_.size()); ++r)
-        freeRegion(r);
-}
-
-// ---------------------------------------------------------------- //
-// Spill regions                                                    //
-// ---------------------------------------------------------------- //
-
-int
-StateStore::allocRegion(std::uint64_t bytes, bool spillable)
-{
-    Region reg;
-    reg.bytes = bytes;
-    if (spill_ && spillable) {
-        char name[64];
-        std::snprintf(name, sizeof name, "/neo-spill-%ld-%llu.slab",
-                      static_cast<long>(::getpid()),
-                      static_cast<unsigned long long>(
-                          nextSpillSeq()));
-        const std::string path = spillDir_ + name;
-        const int fd = ::open(path.c_str(),
-                              O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC,
-                              0600);
-        if (fd >= 0) {
-            void *p = MAP_FAILED;
-            if (::ftruncate(fd, static_cast<off_t>(bytes)) == 0)
-                p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                           MAP_SHARED, fd, 0);
-            // Unlink BEFORE first use: the kernel keeps the inode
-            // alive while mapped, and any death — SIGKILL mid-spill
-            // included — reclaims it. The spill dir can never
-            // accumulate partial slabs.
-            ::unlink(path.c_str());
-            ::close(fd);
-            if (p != MAP_FAILED) {
-                reg.ptr = static_cast<std::uint8_t *>(p);
-                reg.fileBacked = true;
-                hotSpillBytes_ += bytes;
-            }
-        }
-        if (!reg.fileBacked) {
-            static bool warned = false;
-            if (!warned) {
-                warned = true;
-                neo_warn("--spill-dir ", spillDir_,
-                         ": cannot create mmap slab; falling back "
-                         "to heap for this and further slabs");
-            }
-        }
-    }
-    if (reg.ptr == nullptr)
-        reg.ptr = static_cast<std::uint8_t *>(
-            ::operator new(static_cast<std::size_t>(bytes)));
-    const int id = static_cast<int>(regions_.size());
-    regions_.push_back(reg);
-    return id;
-}
-
-void
-StateStore::freeRegion(int r)
-{
-    Region &reg = regions_[static_cast<std::size_t>(r)];
-    if (reg.freed || reg.ptr == nullptr)
-        return;
-    if (reg.fileBacked) {
-        if (reg.hot)
-            hotSpillBytes_ -= reg.bytes;
-        ::munmap(reg.ptr, reg.bytes);
-    } else {
-        ::operator delete(reg.ptr);
-    }
-    reg.ptr = nullptr;
-    reg.freed = true;
-}
-
-void
-StateStore::shedRegion(int r)
-{
-    Region &reg = regions_[static_cast<std::size_t>(r)];
-    if (reg.freed || !reg.fileBacked || !reg.hot)
-        return;
-    // Schedule writeback of dirty pages first (EINTR-retried — a
-    // supervision signal mid-shed must not skip it), then drop this
-    // process's page-table entries. MADV_DONTNEED on a MAP_SHARED
-    // file mapping only drops the entries: the data stays intact in
-    // the page cache (and the backing file) and faults back on the
-    // next read — which is why shedding is safe against the lock-free
-    // at()/copyTo() readers that may be touching the slab right now.
-    msyncRetry(reg.ptr, reg.bytes, MS_ASYNC);
-    ::madvise(reg.ptr, reg.bytes, MADV_DONTNEED);
-    reg.hot = false;
-    hotSpillBytes_ -= reg.bytes;
-    ++spillSheds_;
-}
-
-void
-StateStore::maintainHotBudget(int keep)
-{
-    // Shed oldest-allocated first: geometric slabs mean the oldest
-    // regions are both the smallest and — under BFS locality — the
-    // least likely to be read again soon.
-    for (int r = 0;
-         hotSpillBytes_ > hotBudget_ &&
-         r < static_cast<int>(regions_.size());
-         ++r) {
-        if (r == keep)
-            continue;
-        shedRegion(r);
-    }
-}
-
-std::uint64_t
-StateStore::shedCold()
-{
-    if (!spill_)
-        return 0;
-    std::uint64_t shed = 0;
-    for (int r = 0; r < static_cast<int>(regions_.size()); ++r) {
-        const Region &reg = regions_[static_cast<std::size_t>(r)];
-        if (!reg.freed && reg.fileBacked && reg.hot) {
-            shedRegion(r);
-            ++shed;
-        }
-    }
-    return shed;
+    arenaFree(states_);
+    arenaFree(bytes_);
+    arenaFree(index_);
+    ::operator delete(table_);
 }
 
 // ---------------------------------------------------------------- //
@@ -299,40 +119,25 @@ StateStore::shedCold()
 // ---------------------------------------------------------------- //
 
 void
-StateStore::arenaGrow(Arena &a, bool spillable)
+StateStore::arenaGrow(Arena &a)
 {
     const unsigned k = a.nSlabs;
     if (k >= kMaxSlabs)
         neo_fatal("state arena exhausted: 2^40+ elements");
     const std::uint64_t elems = 1ULL << (a.firstLog2 + k);
-    const int r = allocRegion(elems * a.elemSize, spillable);
-    a.slabs[k] = regions_[static_cast<std::size_t>(r)].ptr;
-    a.regionOf[k] = r;
+    a.slabs[k] = static_cast<std::uint8_t *>(::operator new(
+        static_cast<std::size_t>(elems * a.elemSize)));
     a.nSlabs = k + 1;
     a.capacity += elems;
-    if (spill_)
-        maintainHotBudget(r);
 }
 
-std::uint64_t
-StateStore::arenaTouchedBytes(const Arena &a,
-                              std::uint64_t usedElems,
-                              bool hotOnly) const
+void
+StateStore::arenaFree(Arena &a)
 {
-    std::uint64_t bytes = 0;
-    for (unsigned k = 0; k < a.nSlabs; ++k) {
-        const std::uint64_t base = ((1ULL << k) - 1) << a.firstLog2;
-        if (base >= usedElems)
-            break;
-        const std::uint64_t elems = 1ULL << (a.firstLog2 + k);
-        const std::uint64_t touched =
-            usedElems - base < elems ? usedElems - base : elems;
-        const Region &reg =
-            regions_[static_cast<std::size_t>(a.regionOf[k])];
-        if (!hotOnly || !reg.fileBacked || reg.hot)
-            bytes += touched * a.elemSize;
-    }
-    return bytes;
+    for (unsigned k = 0; k < a.nSlabs; ++k)
+        ::operator delete(a.slabs[k]);
+    a.nSlabs = 0;
+    a.capacity = 0;
 }
 
 // ---------------------------------------------------------------- //
@@ -342,11 +147,8 @@ StateStore::arenaTouchedBytes(const Arena &a,
 void
 StateStore::allocTable(std::uint64_t capacity)
 {
-    const int r =
-        allocRegion(capacity * sizeof(Slot), /*spillable=*/true);
-    table_ = reinterpret_cast<Slot *>(
-        regions_[static_cast<std::size_t>(r)].ptr);
-    tableRegion_ = r;
+    table_ = static_cast<Slot *>(::operator new(
+        static_cast<std::size_t>(capacity * sizeof(Slot))));
     capacity_ = capacity;
     // All-ones bytes ⇒ every slot's id is kNoId (empty); fp is only
     // read behind a non-empty id, so its garbage value is dead.
@@ -357,8 +159,7 @@ StateStore::allocTable(std::uint64_t capacity)
 void
 StateStore::growTable()
 {
-    const int oldRegion = tableRegion_;
-    const Slot *old = table_;
+    Slot *old = table_;
     const std::uint64_t oldCap = capacity_;
     ++lgCapacity_;
     allocTable(oldCap << 1);
@@ -372,9 +173,7 @@ StateStore::growTable()
             i = (i + 1) & mask;
         table_[i] = slot;
     }
-    freeRegion(oldRegion);
-    if (spill_)
-        maintainHotBudget(tableRegion_);
+    ::operator delete(old);
 }
 
 void
@@ -387,8 +186,6 @@ StateStore::reserve(std::uint64_t expectedStates)
         states_.firstLog2 = lg;
     if (index_.nSlabs == 0 && lg > index_.firstLog2)
         index_.firstLog2 = lg;
-    if (hashes_.nSlabs == 0 && lg > hashes_.firstLog2)
-        hashes_.firstLog2 = lg;
     std::uint64_t cap = capacity_;
     while (cap * 3 / 4 <= expectedStates)
         cap <<= 1;
@@ -403,20 +200,17 @@ StateStore::reserve(std::uint64_t expectedStates)
 [[noreturn]] void
 StateStore::badTierAt() const
 {
-    neo_fatal(tier_ == StoreTier::Compact
-                  ? "hash-compaction store holds no state bytes "
-                    "(at/copyTo unavailable)"
-                  : "delta-tier states must be read through "
-                    "copyTo(), not at()");
+    neo_fatal("delta-tier states must be read through copyTo(), "
+              "not at()");
 }
 
 std::uint32_t
 StateStore::pushPlain(const std::uint8_t *state)
 {
     if (size_ == states_.capacity)
-        arenaGrow(states_, /*spillable=*/true);
+        arenaGrow(states_);
     const std::uint32_t id = static_cast<std::uint32_t>(size_);
-    std::memcpy(arenaPtr(states_, id), state, stride_);
+    std::memcpy(record(id), state, stride_);
     ++size_;
     return id;
 }
@@ -441,8 +235,6 @@ StateStore::pushDelta(const std::uint8_t *state,
     }
 
     std::uint8_t enc[5 + 3 + 3 * 256];
-    static_assert(sizeof(enc) >= 5 + 3,
-                  "room for base id + diff count");
     std::size_t encLen = 0;
     unsigned hop = 0;
     if (bb != nullptr) {
@@ -491,7 +283,7 @@ StateStore::pushDelta(const std::uint8_t *state,
     // a record is always contiguous for the lock-free readers).
     for (;;) {
         if (byteTail_ == bytes_.capacity) {
-            arenaGrow(bytes_, /*spillable=*/true);
+            arenaGrow(bytes_);
             continue;
         }
         const std::uint64_t q = (byteTail_ >> bytes_.firstLog2) + 1;
@@ -512,7 +304,7 @@ StateStore::pushDelta(const std::uint8_t *state,
 
     const std::uint32_t id = static_cast<std::uint32_t>(size_);
     if (size_ == index_.capacity)
-        arenaGrow(index_, /*spillable=*/true);
+        arenaGrow(index_);
     const std::uint64_t entry = (offset << 8) | hop;
     std::memcpy(arenaPtr(index_, id), &entry, 8);
     ++size_;
@@ -566,110 +358,15 @@ StateStore::reconstruct(std::uint32_t id, std::uint8_t *out) const
     }
 }
 
-void
-StateStore::copyTo(std::uint32_t id, VState &out) const
-{
-    out.resize(stride_);
-    if (tier_ == StoreTier::Plain)
-        std::memcpy(out.data(), arenaPtr(states_, id), stride_);
-    else if (tier_ == StoreTier::Delta)
-        reconstruct(id, out.data());
-    else
-        badTierAt();
-}
-
-bool
-StateStore::equalsStored(std::uint32_t id,
-                         const std::uint8_t *state) const
-{
-    if (tier_ == StoreTier::Plain)
-        return std::memcmp(arenaPtr(states_, id), state, stride_) ==
-               0;
-    reconstruct(id, cmpBuf_.data());
-    return std::memcmp(cmpBuf_.data(), state, stride_) == 0;
-}
-
-std::uint32_t
-StateStore::pushCompact(std::uint64_t lo, std::uint64_t hi)
-{
-    if (size_ == hashes_.capacity)
-        arenaGrow(hashes_, /*spillable=*/true);
-    const std::uint32_t id = static_cast<std::uint32_t>(size_);
-    std::uint8_t *p = arenaPtr(hashes_, id);
-    std::memcpy(p, &lo, 8);
-    if (compactBits_ == 128)
-        std::memcpy(p + 8, &hi, 8);
-    ++size_;
-    return id;
-}
-
-std::pair<std::uint64_t, std::uint64_t>
-StateStore::hashAt(std::uint32_t id) const
-{
-    if (tier_ != StoreTier::Compact)
-        neo_fatal("hashAt() is a compact-tier accessor");
-    std::uint64_t lo = 0, hi = 0;
-    const std::uint8_t *p = arenaPtr(hashes_, id);
-    std::memcpy(&lo, p, 8);
-    if (compactBits_ == 128)
-        std::memcpy(&hi, p + 8, 8);
-    return {lo, hi};
-}
-
 // ---------------------------------------------------------------- //
 // Interning                                                        //
 // ---------------------------------------------------------------- //
-
-std::pair<std::uint32_t, bool>
-StateStore::insertHash(std::uint64_t lo, std::uint64_t hi)
-{
-    if (tier_ != StoreTier::Compact)
-        neo_fatal("insertHash() is a compact-tier entry point");
-    const std::uint32_t fp = static_cast<std::uint32_t>(lo >> 32);
-    const std::size_t mask =
-        static_cast<std::size_t>(capacity_) - 1;
-    std::size_t i = probeStart(fp);
-    std::size_t probes = 0;
-    for (;;) {
-        const Slot slot = table_[i];
-        if (slot.id == kNoId)
-            break;
-        if (slot.fp == fp) {
-            const auto [slo, shi] = hashAt(slot.id);
-            if (slo == lo && (compactBits_ == 64 || shi == hi))
-                return {slot.id, false};
-        }
-        i = (i + 1) & mask;
-        ++probes;
-    }
-    const std::uint32_t id = pushCompact(lo, hi);
-    table_[i] = Slot{fp, id};
-    unsigned bucket =
-        probes == 0
-            ? 0
-            : static_cast<unsigned>(std::bit_width(probes));
-    if (bucket >= kProbeBuckets)
-        bucket = kProbeBuckets - 1;
-    ++probeHist_[bucket];
-    if (size_ * 4 >= capacity_ * 3)
-        growTable();
-    return {id, true};
-}
 
 std::pair<std::uint32_t, bool>
 StateStore::internHashed(const std::uint8_t *state,
                          std::uint64_t hash, std::uint32_t baseId,
                          const std::uint8_t *baseBytes)
 {
-    if (tier_ == StoreTier::Compact) {
-        // Identity IS the fingerprint: two distinct states sharing
-        // 64/128 hash bits conflate here, by design. The caller owns
-        // reporting compactOmissionProbability().
-        const std::uint64_t hi = compactBits_ == 128
-                                     ? stateHash2(state, stride_)
-                                     : 0;
-        return insertHash(hash, hi);
-    }
     const std::uint32_t fp = static_cast<std::uint32_t>(hash >> 32);
     const std::size_t mask =
         static_cast<std::size_t>(capacity_) - 1;
@@ -711,23 +408,6 @@ StateStore::lookupHashed(const std::uint8_t *state,
     const std::size_t mask =
         static_cast<std::size_t>(capacity_) - 1;
     std::size_t i = probeStart(fp);
-    if (tier_ == StoreTier::Compact) {
-        const std::uint64_t hi = compactBits_ == 128
-                                     ? stateHash2(state, stride_)
-                                     : 0;
-        for (;;) {
-            const Slot slot = table_[i];
-            if (slot.id == kNoId)
-                return kNoId;
-            if (slot.fp == fp) {
-                const auto [slo, shi] = hashAt(slot.id);
-                if (slo == hash &&
-                    (compactBits_ == 64 || shi == hi))
-                    return slot.id;
-            }
-            i = (i + 1) & mask;
-        }
-    }
     for (;;) {
         const Slot slot = table_[i];
         if (slot.id == kNoId)
@@ -757,32 +437,21 @@ std::uint64_t
 StateStore::memoryBytes() const
 {
     std::uint64_t bytes = sizeof(StateStore);
-    switch (tier_) {
-    case StoreTier::Plain:
-        bytes += arenaTouchedBytes(states_, size_, true);
-        break;
-    case StoreTier::Delta:
+    // Touched payload only: untouched tail pages of the newest slab
+    // were never written, so they are virtual, not resident.
+    if (tier_ == StoreTier::Plain) {
+        bytes += size_ * stride_;
+    } else {
         // Both the varint records AND the anchor index are charged —
         // the index is 8 bytes/state, often bigger than the records
         // themselves, and forgetting it once broke the ±5% bound.
-        bytes += arenaTouchedBytes(bytes_, byteTail_, true);
-        bytes += arenaTouchedBytes(index_, size_, true);
+        bytes += byteTail_ + size_ * index_.elemSize;
         bytes += lastState_.capacity() + cmpBuf_.capacity();
-        break;
-    case StoreTier::Compact:
-        bytes += arenaTouchedBytes(hashes_, size_, true);
-        break;
     }
-    const std::uint64_t nSlabs = states_.nSlabs + bytes_.nSlabs +
-                                 index_.nSlabs + hashes_.nSlabs;
+    const std::uint64_t nSlabs =
+        states_.nSlabs + bytes_.nSlabs + index_.nSlabs;
     bytes += nSlabs * 32; // allocator/bookkeeping headers
-    if (tableRegion_ >= 0) {
-        const Region &reg =
-            regions_[static_cast<std::size_t>(tableRegion_)];
-        if (!reg.fileBacked || reg.hot)
-            bytes += capacity_ * sizeof(Slot);
-    }
-    bytes += regions_.capacity() * sizeof(Region);
+    bytes += capacity_ * sizeof(Slot);
     return bytes;
 }
 

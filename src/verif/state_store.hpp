@@ -1,7 +1,7 @@
 /**
  * @file
- * Arena-interned state storage for the exploration engines, with
- * three stacked capacity tiers.
+ * Arena-interned state storage for the exploration engines, with an
+ * optional delta tier.
  *
  * Murphi-lineage checkers win capacity battles by refusing to pay
  * per-state heap structure: canonical states live contiguously in
@@ -14,8 +14,11 @@
  * BFS, the sharded parallel explorer, the trace shrinker) dedupes
  * through this store instead of `std::unordered_map<VState, id>`.
  *
- * On top of the plain arena, three capacity tiers stack (ROADMAP
- * "billion-state explorer"):
+ * Both tiers keep every state's full bytes recoverable, and a
+ * fingerprint hit is always confirmed by a byte compare, so a verdict
+ * is exact under either:
+ *
+ *  - StoreTier::Plain — one fixed-stride full record per state.
  *
  *  - StoreTier::Delta — a state is stored as a varint-encoded diff
  *    against an earlier state (its BFS parent when the engine has it
@@ -24,33 +27,14 @@
  *    bounded walk. BFS neighbours differ in a handful of variables,
  *    so the per-state payload drops from `stride` bytes to a few.
  *
- *  - StoreTier::Compact — classic Murphi hash compaction: only a
- *    64/128-bit fingerprint per state is kept, no bytes at all. The
- *    mode is deliberately UNSOUND (two distinct states may share a
- *    fingerprint, silently pruning one subtree); the quantified
- *    omission probability is computed by compactOmissionProbability()
- *    and reported in every verdict that used the mode.
- *
- *  - Spill (orthogonal to the tier) — slab and table allocations are
- *    mmap'd, file-backed regions under `spillDir` instead of heap
- *    memory. Cold regions are shed from the process's resident set
- *    (madvise MADV_DONTNEED) and fault back from the page cache on
- *    demand; backing files are unlinked immediately after mapping, so
- *    a crash — SIGKILL included — can never leave stale slab files
- *    behind. memoryBytes() charges only hot regions, which is what
- *    lets the engines' memory-pressure ladder shed to disk BEFORE
- *    shedding trace links or returning EXCEEDED.
- *
  * Concurrency contract: intern() and reserve() require external
  * synchronization (the parallel explorer wraps each shard's store in
  * that shard's mutex). at()/copyTo()/stride() are safe to call
  * WITHOUT the lock for any id whose publication happened-before the
- * call (e.g. an id received through a mutex-guarded work queue): slab
- * pointers live in fixed-size arrays that are never reallocated, and
- * a state's bytes — including every delta record on its anchor chain
- * — are written exactly once, before its id escapes the lock.
- * Shedding a region concurrently with such a read is safe: the
- * mapping stays valid and the kernel faults the page back in.
+ * call (e.g. an id received through the frontier ring): slab pointers
+ * live in fixed-size arrays that are never reallocated, and a state's
+ * bytes — including every delta record on its anchor chain — are
+ * written exactly once, before its id escapes the lock.
  */
 
 #ifndef NEO_VERIF_STATE_STORE_HPP
@@ -60,7 +44,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -107,81 +90,28 @@ stateHash(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
-/** Independent second 64-bit hash for 128-bit compaction: same mixing
- *  structure, different seed and finalizer order, so the two streams
- *  collide independently. */
-inline std::uint64_t
-stateHash2(const std::uint8_t *p, std::size_t n)
-{
-    std::uint64_t h = 0x6a09e667f3bcc909ULL ^
-                      (static_cast<std::uint64_t>(n) *
-                       0xc4ceb9fe1a85ec53ULL);
-    while (n >= 8) {
-        std::uint64_t k;
-        std::memcpy(&k, p, 8);
-        k *= 0xc4ceb9fe1a85ec53ULL;
-        k ^= k >> 31;
-        h = (h ^ k) * 0x9e3779b97f4a7c15ULL;
-        p += 8;
-        n -= 8;
-    }
-    if (n > 0) {
-        std::uint64_t k = 0;
-        std::memcpy(&k, p, n);
-        k *= 0xc4ceb9fe1a85ec53ULL;
-        k ^= k >> 31;
-        h = (h ^ k) * 0x9e3779b97f4a7c15ULL;
-    }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
-}
-
 /** How state payloads are represented inside the store. */
 enum class StoreTier : std::uint8_t
 {
-    Plain = 0,   ///< fixed-stride full records (the PR 5 arena)
-    Delta = 1,   ///< varint parent-diff records with anchor chains
-    Compact = 2, ///< fingerprints only (unsound; quantified omission)
+    Plain = 0, ///< fixed-stride full records
+    Delta = 1, ///< varint parent-diff records with anchor chains
 };
 
 const char *storeTierName(StoreTier t);
 
 /**
- * Tier/spill configuration, carried by ExploreLimits into every
- * engine and forwarded verbatim to each StateStore they build.
+ * Tier configuration, carried by ExploreLimits into every engine and
+ * forwarded verbatim to each StateStore they build.
  */
 struct StoreTierOptions
 {
     StoreTier tier = StoreTier::Plain;
-    /** Fingerprint width for StoreTier::Compact: 64 or 128. */
-    unsigned compactBits = 64;
     /** Max delta-chain hops before a full anchor record (Delta). */
     unsigned anchorEvery = 8;
-    /** Non-empty enables the mmap-backed cold tier: slabs and the
-     *  probe table become file-backed regions under this directory
-     *  (files are unlinked right after mapping — a crash leaves no
-     *  stale slabs). */
-    std::string spillDir;
-    /** Resident budget for spillable regions before the LRU starts
-     *  shedding old slabs on allocation; 0 = default (256 MB). */
-    std::uint64_t hotBytes = 0;
     /** Test-only hash override (forced-collision suites); nullptr
      *  uses stateHash(). */
     std::uint64_t (*hash)(const std::uint8_t *, std::size_t) = nullptr;
 };
-
-/**
- * Probability that hash compaction silently omitted at least one
- * state: with n distinct states drawn into a 2^bits fingerprint
- * space, P ≈ 1 - exp(-n(n-1)/2^(bits+1)) (the Stern–Dill birthday
- * bound). This is the number every compact-mode verdict must carry —
- * the mode trades soundness for memory and has to say so.
- */
-double compactOmissionProbability(std::uint64_t states, unsigned bits);
 
 /**
  * Interning store: a bump arena of state records plus an
@@ -200,7 +130,8 @@ class StateStore
     using HashFn = std::uint64_t (*)(const std::uint8_t *,
                                      std::size_t);
 
-    /** Arena id sentinel for an empty table slot / "no delta base". */
+    /** Arena id sentinel for an empty table slot / a lookup miss /
+     *  "no delta base". */
     static constexpr std::uint32_t kNoId = 0xffffffffu;
 
     /**
@@ -210,7 +141,7 @@ class StateStore
      * @param hash override the state hash — tests inject degenerate
      *        hashes to force fingerprint collisions; nullptr uses
      *        stateHash() (opts.hash, when set, wins over this)
-     * @param opts capacity tier + spill configuration
+     * @param opts capacity tier
      */
     explicit StateStore(std::size_t stride,
                         std::uint64_t expectedStates = 0,
@@ -230,8 +161,7 @@ class StateStore
      * rejects almost all non-equal probes, and a full byte compare
      * (reconstructing through the delta codec when needed) confirms
      * every fingerprint hit, so hash collisions can never conflate
-     * two distinct states — except in Compact tier, where the hash
-     * IS the identity and conflation is the documented trade.
+     * two distinct states.
      */
     std::pair<std::uint32_t, bool> intern(const std::uint8_t *state)
     {
@@ -263,18 +193,12 @@ class StateStore
      * an id already interned HERE and @p baseBytes its full bytes
      * (the BFS engines have the parent state in hand when expanding,
      * so no reconstruction is paid on the hot path). kNoId/nullptr
-     * falls back to the previously interned state; ignored outside
-     * the Delta tier.
+     * falls back to the previously interned state; ignored in the
+     * Plain tier.
      */
     std::pair<std::uint32_t, bool>
     internHashed(const std::uint8_t *state, std::uint64_t hash,
                  std::uint32_t baseId, const std::uint8_t *baseBytes);
-
-    /** Insert a bare fingerprint (Compact tier resume path): dedup
-     *  and id assignment exactly as if the hashed state were
-     *  interned. @p hi is ignored for 64-bit fingerprints. */
-    std::pair<std::uint32_t, bool> insertHash(std::uint64_t lo,
-                                              std::uint64_t hi);
 
     /**
      * Probe-only lookup: the id @p state would dedup to, or kNoId if
@@ -309,59 +233,46 @@ class StateStore
     /**
      * Bytes of an interned state; stable for the store's lifetime.
      * Plain tier only — Delta records must be reconstructed through
-     * copyTo(), and Compact stores no bytes at all (both fatal).
+     * copyTo() (fatal otherwise).
      */
     const std::uint8_t *at(std::uint32_t id) const
     {
         if (tier_ != StoreTier::Plain)
             badTierAt();
-        return arenaPtr(states_, id);
+        return record(id);
     }
 
     /** Full bytes of state @p id into @p out; reconstructs through
-     *  the anchor chain in the Delta tier. Fatal in Compact tier. */
-    void copyTo(std::uint32_t id, VState &out) const;
-
-    /** Stored fingerprint of state @p id (Compact tier only). */
-    std::pair<std::uint64_t, std::uint64_t>
-    hashAt(std::uint32_t id) const;
+     *  the anchor chain in the Delta tier. */
+    void copyTo(std::uint32_t id, VState &out) const
+    {
+        if (tier_ == StoreTier::Plain) {
+            const std::uint8_t *p = record(id);
+            out.assign(p, p + stride_);
+        } else {
+            out.resize(stride_);
+            reconstruct(id, out.data());
+        }
+    }
 
     /** Delta-chain hops from @p id to its anchor (0 = @p id is an
-     *  anchor). Bounded by anchorEvery; 0 outside the Delta tier. */
+     *  anchor). Bounded by anchorEvery; 0 in the Plain tier. */
     unsigned hopOf(std::uint32_t id) const;
 
     std::uint64_t size() const { return size_; }
     std::size_t stride() const { return stride_; }
     std::uint64_t tableCapacity() const { return capacity_; }
     StoreTier tier() const { return tier_; }
-    bool spillEnabled() const { return spill_; }
-    unsigned compactBits() const { return compactBits_; }
     unsigned anchorEvery() const { return anchorEvery_; }
 
     /**
      * Actual live footprint charged against `maxMemoryBytes`:
-     * interned payload bytes (state records, delta records + their
-     * anchor index, or fingerprints), slab bookkeeping, and the full
-     * table allocation. Untouched tail pages of the newest slab are
-     * virtual-only (never written), so they are not charged — and
-     * neither are regions shed to the spill tier: a cold mmap'd slab
-     * costs page cache, not process residency. Pages the kernel
-     * faults back in on cold reads are deliberately not re-charged;
-     * the budget governs the hot working set the store itself pins.
+     * interned payload bytes (state records, or delta records plus
+     * their anchor index), slab bookkeeping, and the full table
+     * allocation. Untouched tail pages of the newest slab are
+     * virtual-only (never written), so they are not charged.
      */
     std::uint64_t memoryBytes() const;
-
-    /**
-     * Shed every file-backed region (slabs AND the probe table) from
-     * the resident set: data stays intact in the page cache / on
-     * disk and faults back on demand. @return regions shed. The
-     * engines call this as the memory-pressure step BEFORE shedding
-     * trace links. No-op (0) when spill is disabled.
-     */
-    std::uint64_t shedCold();
-
-    /** Cumulative regions shed (LRU evictions + shedCold calls). */
-    std::uint64_t spillSheds() const { return spillSheds_; }
 
     /** Grow the table (and size the first arena slab, when nothing
      *  has been interned yet) to hold @p expectedStates without
@@ -385,31 +296,6 @@ class StateStore
         std::uint32_t id;
     };
 
-    /** One spillable allocation: an anonymous heap block or an
-     *  mmap'd, already-unlinked file under spillDir. */
-    struct Region
-    {
-        std::uint8_t *ptr = nullptr;
-        std::uint64_t bytes = 0;
-        bool fileBacked = false;
-        bool hot = true;
-        bool freed = false;
-    };
-
-    /** A geometric slab family: fixed pointer directory (never
-     *  reallocated — the lock-free read guarantee), element-granular
-     *  addressing shared by states, delta bytes, the delta index and
-     *  compact fingerprints. */
-    struct Arena
-    {
-        std::uint8_t *slabs[40] = {};
-        int regionOf[40];
-        unsigned nSlabs = 0;
-        unsigned firstLog2 = 10;
-        std::uint64_t capacity = 0; ///< elements
-        std::size_t elemSize = 1;
-    };
-
     static constexpr unsigned kMaxSlabs = 40;
     static constexpr std::uint64_t kMinCapacity = 64;
 
@@ -421,61 +307,65 @@ class StateStore
             (fp * 2654435769u) >> (32 - lgCapacity_));
     }
 
-    // Region/spill plumbing (intern-side, externally synchronized).
-    int allocRegion(std::uint64_t bytes, bool spillable);
-    void freeRegion(int r);
-    void shedRegion(int r);
-    void maintainHotBudget(int keep);
+    /** A geometric slab family: fixed pointer directory (never
+     *  reallocated — the lock-free read guarantee), element-granular
+     *  addressing shared by plain records, delta bytes and the delta
+     *  index. */
+    struct Arena
+    {
+        std::uint8_t *slabs[kMaxSlabs] = {};
+        unsigned nSlabs = 0;
+        unsigned firstLog2 = 10;
+        std::uint64_t capacity = 0; ///< elements the slabs can hold
+        std::size_t elemSize = 1;
+    };
 
-    // Arena plumbing. Element address: slab k holds
-    // `1 << (firstLog2 + k)` elements, so slab k's first element is
-    // `((1 << k) - 1) << firstLog2` and the owning slab of idx is
-    // found with one bit-scan — no division, no directory realloc.
-    std::uint8_t *arenaPtr(const Arena &a, std::uint64_t idx) const
+    // Element address: slab k holds `1 << (firstLog2 + k)` elements,
+    // so slab k's first element is `((1 << k) - 1) << firstLog2` and
+    // the owning slab of idx is found with one bit-scan — no
+    // division, no directory realloc.
+    static std::uint8_t *arenaPtr(const Arena &a, std::uint64_t idx)
     {
         const std::uint64_t q = (idx >> a.firstLog2) + 1;
         const unsigned k =
             static_cast<unsigned>(std::bit_width(q)) - 1;
-        const std::uint64_t base = ((1ULL << k) - 1)
-                                   << a.firstLog2;
+        const std::uint64_t base = ((1ULL << k) - 1) << a.firstLog2;
         return a.slabs[k] + (idx - base) * a.elemSize;
     }
+    static void arenaGrow(Arena &a);
+    static void arenaFree(Arena &a);
+
+    std::uint8_t *record(std::uint32_t id) const
+    {
+        return arenaPtr(states_, id);
+    }
+    bool equalsStored(std::uint32_t id, const std::uint8_t *state) const
+    {
+        if (tier_ == StoreTier::Plain)
+            return std::memcmp(record(id), state, stride_) == 0;
+        reconstruct(id, cmpBuf_.data());
+        return std::memcmp(cmpBuf_.data(), state, stride_) == 0;
+    }
     [[noreturn]] void badTierAt() const;
-    void arenaGrow(Arena &a, bool spillable);
-    std::uint64_t arenaTouchedBytes(const Arena &a,
-                                    std::uint64_t usedElems,
-                                    bool hotOnly) const;
+    void allocTable(std::uint64_t capacity);
+    void growTable();
 
     // Tier internals.
     std::uint32_t pushPlain(const std::uint8_t *state);
     std::uint32_t pushDelta(const std::uint8_t *state,
                             std::uint32_t baseId,
                             const std::uint8_t *baseBytes);
-    std::uint32_t pushCompact(std::uint64_t lo, std::uint64_t hi);
     void reconstruct(std::uint32_t id, std::uint8_t *out) const;
-    bool equalsStored(std::uint32_t id,
-                      const std::uint8_t *state) const;
-    void allocTable(std::uint64_t capacity);
-    void growTable();
 
     std::size_t stride_;
     HashFn hash_;
     StoreTier tier_ = StoreTier::Plain;
-    unsigned compactBits_ = 64;
     unsigned anchorEvery_ = 8;
-    bool spill_ = false;
-    std::string spillDir_;
-    std::uint64_t hotBudget_ = 0;
-    std::uint64_t spillSheds_ = 0;
-    std::uint64_t hotSpillBytes_ = 0;
 
-    std::vector<Region> regions_;
-
-    Arena states_;  ///< Plain: stride-sized records
-    Arena bytes_;   ///< Delta: varint records, byte-granular
-    Arena index_;   ///< Delta: 8-byte (offset<<8 | hop) per id
-    Arena hashes_;  ///< Compact: 8/16-byte fingerprints
-    std::uint64_t byteTail_ = 0; ///< Delta: next free arena offset
+    Arena states_; ///< Plain: stride-sized records
+    Arena bytes_;  ///< Delta: varint records, byte-granular
+    Arena index_;  ///< Delta: 8-byte (offset<<8 | hop) per id
+    std::uint64_t byteTail_ = 0; ///< Delta: next free byte offset
 
     /** Previously interned state's bytes (Delta): the fallback delta
      *  base when the caller has no parent in hand (cross-shard
@@ -486,7 +376,6 @@ class StateStore
     mutable std::vector<std::uint8_t> cmpBuf_;
 
     Slot *table_ = nullptr;
-    int tableRegion_ = -1;
     std::uint64_t capacity_ = 0;
     unsigned lgCapacity_ = 0;
     std::uint64_t size_ = 0;

@@ -473,6 +473,66 @@ TEST_F(CheckpointTest, ResumeAgainstDifferentModelIsRejected)
                 "cannot resume.*different model");
 }
 
+namespace
+{
+
+/** Rewrite the header's version field of the snapshot at @p path and
+ *  recompute the header CRC, so only the version check can refuse
+ *  the file. Header: magic(8) version(4) kind(4) fingerprint(8)
+ *  payloadSize(8) payloadCrc(4), then the CRC of those 36 bytes. */
+void
+patchSnapshotVersion(const std::string &path, std::uint32_t version)
+{
+    constexpr std::size_t kHeaderBody = 36;
+    std::vector<char> bytes = slurp(path);
+    ASSERT_GT(bytes.size(), kHeaderBody + 4);
+    auto *raw = reinterpret_cast<std::uint8_t *>(bytes.data());
+    auto putLE32 = [](std::uint8_t *p, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    putLE32(raw + 8, version);
+    putLE32(raw + kHeaderBody, crc32(raw, kHeaderBody));
+    spit(path, bytes);
+}
+
+} // namespace
+
+TEST_F(CheckpointTest, VersionTwoSnapshotIsRefused)
+{
+    // Version 2 was the hash-compaction layout. Nothing writes it any
+    // more: a version-2 file is refused on its header, with intact
+    // CRCs, before any payload byte is decoded — by the reader and by
+    // a resume on either engine.
+    ModelShape shape;
+    const TransitionSystem ts = buildGermanModel(3, shape);
+    TempDir dir;
+    const std::string path = makeExploreSnapshot(ts, dir.path());
+    patchSnapshotVersion(path, 2);
+
+    std::vector<std::uint8_t> payload;
+    std::string err;
+    EXPECT_FALSE(readSnapshotFile(path, SnapshotKind::Explore,
+                                  modelFingerprint(ts), payload, err));
+    EXPECT_NE(err.find("unsupported snapshot version 2"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(payload.empty());
+
+    CheckpointConfig cfg;
+    cfg.dir = dir.path();
+    cfg.resume = true;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExploreLimits lim{2'000'000, 120.0};
+        lim.threads = threads;
+        lim.checkpoint = &cfg;
+        EXPECT_EXIT(explore(ts, lim, false, true),
+                    ::testing::ExitedWithCode(2),
+                    "cannot resume.*unsupported snapshot version 2");
+    }
+}
+
 TEST_F(CheckpointTest, WriteFailureIsReportedNotFatal)
 {
     // Writing into a directory that cannot be created fails cleanly
@@ -623,97 +683,12 @@ TEST_F(CheckpointTest, MemoryBoundHonoredWithinFivePercent)
 // so the tier — like the thread count — is a per-run choice.
 // ----------------------------------------------------------------
 
-namespace
-{
-
-StoreTierOptions
-spillTier(const std::string &dir,
-          std::uint64_t hotBytes = 1ULL << 30)
-{
-    StoreTierOptions o;
-    o.tier = StoreTier::Delta;
-    o.spillDir = dir;
-    o.hotBytes = hotBytes;
-    return o;
-}
-
-/** Regular files left in @p dir (spill slabs are unlinked the moment
- *  they are mapped, so a correct spill tier leaves zero). */
-std::size_t
-regularFilesIn(const std::string &dir)
-{
-    std::size_t n = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        n += e.is_regular_file() ? 1 : 0;
-    return n;
-}
-
-} // namespace
-
-TEST_F(CheckpointTest, SigkillMidSpillLeavesResumableState)
-{
-    // The crash story must hold while slabs live on disk: a child
-    // process exploring with periodic snapshots AND an active spill
-    // tier SIGKILLs itself mid-run (no destructors, no cleanup). The
-    // parent must find (a) a valid snapshot to resume from and (b) a
-    // spill dir with no stranded slab files — slabs are unlinked at
-    // map time, so the kernel reclaims them on any death.
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(4, shape);
-    const ExploreLimits ref_lim{2'000'000, 120.0};
-    const ExploreResult ref = explore(ts, ref_lim, false, true);
-    ASSERT_EQ(ref.status, VerifStatus::Verified);
-
-    TempDir ckptDir;
-    TempDir spillDir;
-    CheckpointConfig cfg;
-    cfg.dir = ckptDir.path();
-
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Child: spill eagerly (64 KB hot budget), snapshot every
-        // millisecond, pace the walk so the kill lands mid-run, and
-        // die WITHOUT unwinding once enough work is on disk.
-        CheckpointConfig childCfg = cfg;
-        childCfg.everySeconds = 0.001;
-        ExploreLimits lim = ref_lim;
-        lim.checkpoint = &childCfg;
-        lim.store = spillTier(spillDir.path(), 1ULL << 16);
-        std::uint64_t seen = 0;
-        explore(ts, lim, false, true, [&](const VState &) {
-            ::usleep(50);
-            if (++seen == 800)
-                ::raise(SIGKILL);
-        });
-        ::_exit(0); // not reached; the raise above is fatal
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-    EXPECT_EQ(regularFilesIn(spillDir.path()), 0u)
-        << "SIGKILL stranded spill slabs on disk";
-    ASSERT_TRUE(snapshotExists(exploreSnapshotPath(cfg)))
-        << "no periodic snapshot survived the kill";
-
-    cfg.resume = true;
-    ExploreLimits lim = ref_lim;
-    lim.checkpoint = &cfg;
-    lim.store = spillTier(spillDir.path(), 1ULL << 16);
-    const ExploreResult r = explore(ts, lim, false, true);
-    EXPECT_TRUE(r.resumed);
-    EXPECT_GT(r.restoredStates, 0u);
-    expectSameFixpoint(r, ref);
-}
-
 TEST_F(CheckpointTest, CrossTierResume)
 {
     // Full-state snapshots re-intern on resume, so the tier that
     // WRITES a snapshot places no constraint on the tier that READS
-    // it: plain -> delta+spill, delta -> plain, spill -> delta, with
-    // a thread-count change thrown in (tier and mode are orthogonal).
+    // it: plain -> delta, delta -> plain, with a thread-count change
+    // thrown in (tier and mode are orthogonal).
     ModelShape shape;
     const TransitionSystem ts = buildGermanModel(4, shape);
     const ExploreLimits lim{2'000'000, 120.0};
@@ -721,11 +696,9 @@ TEST_F(CheckpointTest, CrossTierResume)
     ASSERT_EQ(ref.status, VerifStatus::Verified);
     const std::uint64_t s = ref.statesExplored;
 
-    TempDir spillDir;
     const StoreTierOptions plain;
     StoreTierOptions delta;
     delta.tier = StoreTier::Delta;
-    const StoreTierOptions spill = spillTier(spillDir.path());
 
     struct Leg
     {
@@ -734,10 +707,10 @@ TEST_F(CheckpointTest, CrossTierResume)
         std::uint64_t interruptAfter; // 0 = run to completion
     };
     const std::vector<std::vector<Leg>> schedules = {
-        {{plain, 1, s / 3}, {spill, 1, 0}},
+        {{plain, 1, s / 3}, {delta, 1, 0}},
         {{delta, 1, s / 3}, {plain, 1, 0}},
-        {{spill, 1, s / 4}, {delta, 4, 0}}, // tier AND mode change
-        {{plain, 4, s / 3}, {delta, 1, 0}},
+        {{delta, 1, s / 4}, {delta, 4, 0}}, // mode change only
+        {{plain, 4, s / 3}, {delta, 1, 0}}, // tier AND mode change
     };
     for (std::size_t k = 0; k < schedules.size(); ++k) {
         SCOPED_TRACE("schedule " + std::to_string(k));
@@ -773,75 +746,6 @@ TEST_F(CheckpointTest, CrossTierResume)
     }
 }
 
-TEST_F(CheckpointTest, CompactSnapshotRoundTripAndRefusals)
-{
-    // Hash-compacted runs checkpoint fingerprints plus a frontier
-    // that carries its own state bytes (fingerprints alone cannot
-    // regenerate successors). Such a snapshot resumes ONLY into a
-    // compact run with the same fingerprint width — anything else is
-    // a usage error, refused before any state is decoded.
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(4, shape);
-    StoreTierOptions compact;
-    compact.tier = StoreTier::Compact;
-    ExploreLimits lim{2'000'000, 120.0};
-    lim.store = compact;
-    const ExploreResult ref = explore(ts, lim, false, true);
-    ASSERT_EQ(ref.status, VerifStatus::Verified);
-    ASSERT_TRUE(ref.compactHashes);
-
-    TempDir dir;
-    CheckpointConfig cfg;
-    cfg.dir = dir.path();
-    ExploreLimits interrupted = lim;
-    interrupted.checkpoint = &cfg;
-    std::atomic<std::uint64_t> seen{0};
-    const ExploreResult mid =
-        explore(ts, interrupted, false, true, [&](const VState &) {
-            if (seen.fetch_add(1, std::memory_order_relaxed) + 1 >=
-                ref.statesExplored / 2)
-                requestInterrupt();
-        });
-    clearInterruptRequest();
-    ASSERT_EQ(mid.status, VerifStatus::Interrupted);
-    ASSERT_TRUE(snapshotExists(exploreSnapshotPath(cfg)));
-
-    // Refusal 1: resuming without --compact-hashes must die with a
-    // usage error naming the flag (EXPECT_EXIT forks, so the
-    // snapshot survives for the real resume below).
-    {
-        CheckpointConfig r = cfg;
-        r.resume = true;
-        ExploreLimits l{2'000'000, 120.0};
-        l.checkpoint = &r;
-        EXPECT_EXIT(explore(ts, l, false, true),
-                    ::testing::ExitedWithCode(2),
-                    "cannot resume.*--compact-hashes");
-    }
-    // Refusal 2: resuming with a different fingerprint width.
-    {
-        CheckpointConfig r = cfg;
-        r.resume = true;
-        ExploreLimits l = lim;
-        l.store.compactBits = 128;
-        l.checkpoint = &r;
-        EXPECT_EXIT(explore(ts, l, false, true),
-                    ::testing::ExitedWithCode(2),
-                    "cannot resume.*64-bit fingerprints");
-    }
-
-    // The genuine resume matches the uninterrupted compact run,
-    // including the reported omission probability.
-    cfg.resume = true;
-    ExploreLimits resumeLim = lim;
-    resumeLim.checkpoint = &cfg;
-    const ExploreResult r = explore(ts, resumeLim, false, true);
-    EXPECT_TRUE(r.resumed);
-    expectSameFixpoint(r, ref);
-    EXPECT_TRUE(r.compactHashes);
-    EXPECT_EQ(r.omissionProbability, ref.omissionProbability);
-}
-
 TEST_F(CheckpointTest, MemoryBoundHonoredWithinFivePercentDeltaTier)
 {
     // The ±5% contract of MemoryBoundHonoredWithinFivePercent must
@@ -871,39 +775,6 @@ TEST_F(CheckpointTest, MemoryBoundHonoredWithinFivePercentDeltaTier)
         under.maxMemoryBytes = free.memoryBytes * 95 / 100;
         EXPECT_EQ(explore(ts, under, false, false).status,
                   VerifStatus::LimitExceeded);
-    }
-}
-
-TEST_F(CheckpointTest, SpillTierAbsorbsUnderBudgetPressure)
-{
-    // Same under-budget squeeze, but with a spill dir: the ladder's
-    // first rung (shed cold regions — lossless) must absorb the
-    // pressure that the delta test above shows is otherwise fatal.
-    // mmap'd hot regions ARE charged (the free-run footprint is
-    // nonzero and comparable to delta's); shedding un-charges them.
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(3, shape);
-    const ExploreResult ref = explore(ts, {2'000'000, 60.0});
-    ASSERT_EQ(ref.status, VerifStatus::Verified);
-
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        TempDir spillDir;
-        ExploreLimits lim{2'000'000, 60.0};
-        lim.threads = threads;
-        lim.store = spillTier(spillDir.path());
-        const ExploreResult free = explore(ts, lim, false, false);
-        ASSERT_EQ(free.status, VerifStatus::Verified);
-        ASSERT_GT(free.memoryBytes, 0u);
-        ASSERT_EQ(free.spillSheds, 0u);
-
-        ExploreLimits under = lim;
-        under.maxMemoryBytes = free.memoryBytes * 95 / 100;
-        const ExploreResult r = explore(ts, under, false, false);
-        EXPECT_EQ(r.status, VerifStatus::Verified);
-        EXPECT_GE(r.spillSheds, 1u);
-        EXPECT_EQ(r.statesExplored, ref.statesExplored);
-        EXPECT_EQ(r.transitionsFired, ref.transitionsFired);
     }
 }
 

@@ -7,7 +7,7 @@
  * transition relation of the verified leaf state machine.
  *
  * The table below IS the leaf state machine of the models
- * (src/verif/models/*): if someone extends the simulator's L1 with a
+ * (src/verif/models/): if someone extends the simulator's L1 with a
  * transition the verified models do not cover, this test fails and
  * points at the gap.
  */

@@ -11,9 +11,9 @@
  * violation — its violatedInvariant and trace stay empty even on
  * models that do contain a reachable violation past the bound.
  *
- * Every boundary is checked under all three capacity tiers (plain,
- * delta, compact): the tier changes how visited states are STORED,
- * never where a bound trips or what a verdict says.
+ * Every boundary is checked under both capacity tiers (plain,
+ * delta): the tier changes how visited states are STORED, never
+ * where a bound trips or what a verdict says.
  */
 
 #include <gtest/gtest.h>
@@ -221,8 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
     SequentialAndParallelAllTiers, ExploreLimitsBoundary,
     ::testing::Combine(::testing::Values(1u, 2u, 4u),
                        ::testing::Values(StoreTier::Plain,
-                                         StoreTier::Delta,
-                                         StoreTier::Compact)),
+                                         StoreTier::Delta)),
     [](const auto &info) {
         return "threads" + std::to_string(std::get<0>(info.param)) +
                "_" + storeTierName(std::get<1>(info.param));

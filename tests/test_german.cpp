@@ -35,7 +35,9 @@ TEST_P(German, ControlPropertyHolds)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, German, ::testing::Values(1, 2, 3, 4),
                          [](const auto &info) {
-                             return "N" + std::to_string(info.param);
+                             std::string name = "N";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(German, ParametricConvergesAtTinyCutoff)

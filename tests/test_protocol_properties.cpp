@@ -86,10 +86,11 @@ class ProtocolProperties
                     ++exclusive;
             EXPECT_LE(exclusive, 1u)
                 << "P2 violated at 0x" << std::hex << addr;
-            if (exclusive == 1)
+            if (exclusive == 1) {
                 EXPECT_EQ(list.size(), 1u)
                     << "P2: writer coexists with holders at 0x"
                     << std::hex << addr;
+            }
 
             // P3: inclusion along the path to the root.
             for (const auto &[idx, p] : list) {

@@ -2,10 +2,10 @@
  * @file
  * Dependency-indexed successor generation: RuleDepIndex construction
  * unit tests, differential fixpoint equality with the index on vs off
- * (sequential, parallel, capacity tiers, the random walker) across
- * every bundled model and corpus mutant, identity-gate fallback
- * behavior when the canonicalizer has no exactness predicate, counter
- * sanity, and StateRing (the compact-tier frontier ring) unit tests.
+ * (sequential, parallel, the delta store tier, the random walker)
+ * across every bundled model and corpus mutant, identity-gate fallback
+ * behavior when the canonicalizer has no exactness predicate, and
+ * counter sanity.
  *
  * The contract under test: `--no-rule-index` (ExploreLimits/
  * WalkOptions::ruleIndex = false) is a pure perf baseline — status,
@@ -27,7 +27,6 @@
 #include "verif/models/german.hpp"
 #include "verif/models/mutants.hpp"
 #include "verif/random_walk.hpp"
-#include "verif/state_ring.hpp"
 #include "verif/transition_system.hpp"
 
 using namespace neo;
@@ -387,7 +386,7 @@ TEST(IndexDifferentialParallel, GermanThreadsAgree)
     }
 }
 
-TEST(IndexDifferentialTiers, DeltaAndCompactAgree)
+TEST(IndexDifferentialTiers, DeltaAgrees)
 {
     ModelShape shape;
     const TransitionSystem ts = verif::buildGermanModel(4, shape);
@@ -395,13 +394,8 @@ TEST(IndexDifferentialTiers, DeltaAndCompactAgree)
 
     StoreTierOptions delta;
     delta.tier = StoreTier::Delta;
-    StoreTierOptions compact;
-    compact.tier = StoreTier::Compact;
-    for (bool index : {true, false}) {
+    for (bool index : {true, false})
         expectSameFix(runFix(ts, index, 1, delta), plain, "delta");
-        expectSameFix(runFix(ts, index, 1, compact), plain,
-                      "compact");
-    }
 
     // The delta tier interns against the pristine parent bytes, so
     // in-place firing is disabled there — the counter must say so.
@@ -505,72 +499,6 @@ TEST(IdentityGate, FallbackCompareMatchesPredicate)
     // This toy genuinely permutes sometimes: hits < transitions.
     EXPECT_GT(cmp.canonIdentityHits, 0u);
     EXPECT_LT(cmp.canonIdentityHits, cmp.transitionsFired);
-}
-
-// ---------------------------------------------------------------------
-// StateRing (compact-tier frontier).
-// ---------------------------------------------------------------------
-
-TEST(StateRing, PushPopWraparound)
-{
-    StateRing ring(3);
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.stride(), 3u);
-
-    // Push enough through a small ring that head wraps several
-    // times; FIFO order and contents must survive.
-    std::uint8_t buf[3];
-    for (int i = 0; i < 300; ++i) {
-        buf[0] = std::uint8_t(i);
-        buf[1] = std::uint8_t(i >> 8);
-        buf[2] = 0xab;
-        ring.push_back(buf);
-        if (i % 3 == 2) { // drain one per three pushed
-            const std::uint8_t *f = ring.front();
-            const int expect = i / 3;
-            EXPECT_EQ(f[0], std::uint8_t(expect));
-            EXPECT_EQ(f[2], 0xab);
-            ring.pop_front();
-        }
-    }
-    EXPECT_EQ(ring.size(), 200u);
-    // at() indexes from the front in FIFO order.
-    EXPECT_EQ(ring.at(0)[0], ring.front()[0]);
-    EXPECT_EQ(ring.at(199)[0], std::uint8_t(299));
-    EXPECT_GT(ring.memoryBytes(), 200u * 3u);
-}
-
-TEST(StateRing, PushFrontReinsertsAtHead)
-{
-    StateRing ring(2);
-    const std::uint8_t a[2] = {1, 1}, b[2] = {2, 2},
-                       c[2] = {3, 3};
-    ring.push_back(a);
-    ring.push_back(b);
-    ring.pop_front();
-    // Compact-tier rebuild path: a state popped for expansion is
-    // pushed back to the FRONT when expansion must be retried.
-    ring.push_front(c);
-    ASSERT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring.front()[0], 3);
-    EXPECT_EQ(ring.at(1)[0], 2);
-}
-
-TEST(StateRing, GrowthPreservesOrderAcrossWrap)
-{
-    StateRing ring(1);
-    std::uint8_t v;
-    // Interleave pushes and pops so head is mid-buffer when growth
-    // copies the live range out of the wrapped layout.
-    for (v = 0; v < 40; ++v)
-        ring.push_back(&v);
-    for (int i = 0; i < 30; ++i)
-        ring.pop_front();
-    for (v = 40; v < 200; ++v)
-        ring.push_back(&v); // forces at least one grow
-    ASSERT_EQ(ring.size(), 170u);
-    for (std::size_t i = 0; i < 170; ++i)
-        EXPECT_EQ(ring.at(i)[0], std::uint8_t(30 + i));
 }
 
 } // namespace

@@ -1,22 +1,17 @@
 /**
  * @file
- * Property suite for the state store's capacity tiers (PR "billion-
- * state explorer"): delta-codec round-trips (zero-diff dedup,
- * all-diff anchor fallback, slab-boundary crossings, randomized BFS-
- * shaped chains), the bounded anchor-chain depth invariant, fixpoint
- * equality between the plain, delta and delta+spill tiers on the
- * bundled models across thread counts, the Stern–Dill omission
- * probability contract of hash compaction, and a forced-collision
- * demonstration that compaction really does drop states (the
- * documented unsoundness) while the exact tiers never do.
+ * Property suite for the state store's delta tier: codec round-trips
+ * (zero-diff dedup, all-diff anchor fallback, slab-boundary
+ * crossings, randomized BFS-shaped chains), the bounded anchor-chain
+ * depth invariant, exact dedup under forced fingerprint collisions,
+ * and fixpoint and counterexample equality between the plain and
+ * delta tiers on the bundled models across thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -44,10 +39,8 @@ counterState(std::size_t stride, std::uint64_t v)
     return s;
 }
 
-/** Degenerate hash: every state shares one fingerprint. In the exact
- *  tiers the byte-compare fallback must still dedup correctly; in
- *  the compact tier the fingerprint IS the identity, so everything
- *  conflates — which is exactly what the unsoundness test forces. */
+/** Degenerate hash: every state shares one fingerprint, so the
+ *  byte-compare fallback alone must dedup correctly. */
 std::uint64_t
 collidingHash(const std::uint8_t *, std::size_t)
 {
@@ -76,28 +69,6 @@ deltaOpts(unsigned anchorEvery = 8)
     o.anchorEvery = anchorEvery;
     return o;
 }
-
-/** Self-deleting spill directory. */
-class TempSpillDir
-{
-  public:
-    TempSpillDir()
-    {
-        char tmpl[] = "/tmp/neo_spill_XXXXXX";
-        const char *d = mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        path_ = d != nullptr ? d : "";
-    }
-    ~TempSpillDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 struct Fixpoint
 {
@@ -296,78 +267,6 @@ TEST(StateCodec, DeltaWithForcedCollisionsStaysExact)
 }
 
 // ----------------------------------------------------------------
-// Spill tier: lock-free reads across sheds, accounting drops.
-// ----------------------------------------------------------------
-
-TEST(StateCodec, ShedColdKeepsDataAndDropsAccounting)
-{
-    constexpr std::size_t stride = 48;
-    TempSpillDir dir;
-    StoreTierOptions opts;
-    opts.spillDir = dir.path();
-    opts.hotBytes = 1ULL << 30; // no LRU interference
-    StateStore store(stride, 0, nullptr, opts);
-    std::vector<std::vector<std::uint8_t>> all;
-    for (std::uint64_t v = 0; v < 20'000; ++v) {
-        auto s = counterState(stride, v * 2654435761ULL);
-        ASSERT_TRUE(store.intern(s.data()).second);
-        all.push_back(std::move(s));
-    }
-    const std::uint64_t hotBytes = store.memoryBytes();
-    ASSERT_GT(store.shedCold(), 0u);
-    const std::uint64_t coldBytes = store.memoryBytes();
-    EXPECT_LT(coldBytes, hotBytes / 4)
-        << "shedding must uncharge the mmap'd regions";
-    EXPECT_GE(store.spillSheds(), 1u);
-    // Every state faults back byte-exact, and interning still dedups.
-    VState out;
-    for (std::uint32_t id = 0; id < all.size(); id += 17) {
-        store.copyTo(id, out);
-        ASSERT_EQ(0, std::memcmp(out.data(), all[id].data(), stride));
-    }
-    for (std::uint32_t id = 0; id < all.size(); id += 997) {
-        const auto [got, fresh] = store.intern(all[id].data());
-        EXPECT_FALSE(fresh);
-        EXPECT_EQ(got, id);
-    }
-    // The spill dir holds no slab files: they are unlinked the
-    // moment they are mapped, so no crash can strand them either.
-    std::size_t files = 0;
-    for (const auto &e :
-         std::filesystem::directory_iterator(dir.path()))
-        files += e.is_regular_file() ? 1 : 0;
-    EXPECT_EQ(files, 0u);
-}
-
-TEST(StateCodec, LruEvictionShedsUnderHotBudget)
-{
-    constexpr std::size_t stride = 64;
-    TempSpillDir dir;
-    StoreTierOptions opts;
-    opts.tier = StoreTier::Delta;
-    opts.spillDir = dir.path();
-    opts.hotBytes = 1ULL << 17; // 128 KB: force evictions
-    StateStore store(stride, 0, nullptr, opts);
-    std::vector<std::vector<std::uint8_t>> all;
-    Rng rng{3};
-    for (std::uint64_t v = 0; v < 50'000; ++v) {
-        std::vector<std::uint8_t> s(stride);
-        for (auto &b : s)
-            b = static_cast<std::uint8_t>(rng.next());
-        if (store.intern(s.data()).second)
-            all.push_back(std::move(s));
-    }
-    EXPECT_GE(store.spillSheds(), 1u)
-        << "a 128 KB hot budget must evict while interning 50k "
-           "random 64-byte states";
-    VState out;
-    for (std::uint32_t id = 0; id < all.size(); id += 1009) {
-        store.copyTo(id, out);
-        ASSERT_EQ(0, std::memcmp(out.data(), all[id].data(), stride));
-    }
-}
-
-// ----------------------------------------------------------------
 // Fixpoint equality across tiers, models and thread counts.
 // ----------------------------------------------------------------
 
@@ -408,17 +307,11 @@ TEST(StateCodec, FixpointEqualAcrossTiersOnAllModels)
         const Fixpoint ref = runTier(m.ts, 1, {});
         ASSERT_EQ(ref.status, VerifStatus::Verified);
 
-        TempSpillDir dir;
-        StoreTierOptions spill = deltaOpts();
-        spill.spillDir = dir.path();
-        spill.hotBytes = 1ULL << 16;
-
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
             expectSameFixpoint(runTier(m.ts, threads, {}), ref);
             expectSameFixpoint(runTier(m.ts, threads, deltaOpts()),
                                ref);
-            expectSameFixpoint(runTier(m.ts, threads, spill), ref);
         }
     }
 }
@@ -444,128 +337,4 @@ TEST(StateCodec, DeltaTierReproducesViolationAndTrace)
                                      "independent, so the trace is "
                                      "too";
     EXPECT_EQ(r.badState, ref.badState);
-}
-
-// ----------------------------------------------------------------
-// Hash compaction: quantified omission, demonstrated unsoundness.
-// ----------------------------------------------------------------
-
-TEST(StateCodec, OmissionProbabilityMatchesAnalyticFormula)
-{
-    // Spot values against the Stern–Dill birthday bound
-    // P = 1 - exp(-n(n-1)/2^(bits+1)).
-    EXPECT_EQ(compactOmissionProbability(0, 64), 0.0);
-    EXPECT_EQ(compactOmissionProbability(1, 64), 0.0);
-    // Tiny-p regime: P ≈ n(n-1)/2^65 (first-order; the exact value
-    // is a factor (1 - x/2 + …) below it); expm1 must not flush the
-    // tiny exponent to 0.
-    const double p1m = compactOmissionProbability(1'000'000, 64);
-    const double approx =
-        1e6 * (1e6 - 1.0) / std::pow(2.0, 65.0);
-    EXPECT_GT(p1m, 0.0);
-    EXPECT_NEAR(p1m / approx, 1.0, 1e-6);
-    // 128-bit drives it 2^64 lower.
-    EXPECT_LT(compactOmissionProbability(1'000'000, 128),
-              p1m / 1e18);
-    // Saturating regime: at n = 2^36 the exponent is ~128, so P is
-    // 1 to machine precision — and nothing overflowed on the way.
-    EXPECT_NEAR(compactOmissionProbability(1ULL << 36, 64), 1.0,
-                1e-9);
-    // Monotone in n.
-    EXPECT_LT(compactOmissionProbability(1'000, 64),
-              compactOmissionProbability(1'000'000, 64));
-}
-
-TEST(StateCodec, CompactRunReportsFormulaOmission)
-{
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(3, shape);
-    for (unsigned threads : {1u, 2u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        for (unsigned bits : {64u, 128u}) {
-            StoreTierOptions opts;
-            opts.tier = StoreTier::Compact;
-            opts.compactBits = bits;
-            ExploreLimits lim;
-            lim.maxSeconds = 60.0;
-            lim.threads = threads;
-            lim.store = opts;
-            const ExploreResult r = threads > 1
-                                        ? exploreParallel(ts, lim)
-                                        : explore(ts, lim);
-            EXPECT_EQ(r.status, VerifStatus::Verified);
-            EXPECT_TRUE(r.compactHashes);
-            EXPECT_EQ(r.omissionProbability,
-                      compactOmissionProbability(r.statesExplored,
-                                                 bits))
-                << "the reported probability must be the analytic "
-                   "formula at the final state count";
-            EXPECT_GT(r.omissionProbability, 0.0);
-        }
-    }
-}
-
-TEST(StateCodec, ForcedCollisionProvablyDropsViolation)
-{
-    // The documented unsoundness, made deterministic: with an
-    // injected constant hash every state shares one fingerprint. The
-    // EXACT tiers still find the mutant's violation (byte-compare
-    // fallback); the compact tier conflates every successor with the
-    // initial state and reports Verified — the violation is DROPPED.
-    const Mutant *m = findMutant("leaf_silent_upgrade");
-    ASSERT_NE(m, nullptr);
-    ModelShape shape;
-    const TransitionSystem ts = m->build(shape);
-
-    StoreTierOptions collidePlain;
-    collidePlain.hash = &collidingHash;
-    ExploreLimits lim;
-    lim.maxSeconds = 60.0;
-    lim.store = collidePlain;
-    const ExploreResult exact = explore(ts, lim);
-    EXPECT_EQ(exact.status, VerifStatus::InvariantViolated)
-        << "exact tiers tolerate any hash";
-
-    StoreTierOptions collideCompact = collidePlain;
-    collideCompact.tier = StoreTier::Compact;
-    lim.store = collideCompact;
-    const ExploreResult dropped = explore(ts, lim);
-    EXPECT_EQ(dropped.status, VerifStatus::Verified)
-        << "compaction must have conflated everything";
-    EXPECT_EQ(dropped.statesExplored, 1u);
-    EXPECT_TRUE(dropped.compactHashes);
-}
-
-// ----------------------------------------------------------------
-// Memory ladder: spill sheds BEFORE anything lossy.
-// ----------------------------------------------------------------
-
-TEST(StateCodec, SpillShedsBeforeTraceLinksAreLost)
-{
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(3, shape);
-
-    TempSpillDir dir;
-    StoreTierOptions spill = deltaOpts();
-    spill.spillDir = dir.path();
-    spill.hotBytes = 1ULL << 30; // shed only under pressure, not LRU
-
-    ExploreLimits freeLim;
-    freeLim.maxSeconds = 60.0;
-    freeLim.store = spill;
-    const ExploreResult freeRun = explore(ts, freeLim);
-    ASSERT_EQ(freeRun.status, VerifStatus::Verified);
-    ASSERT_EQ(freeRun.spillSheds, 0u);
-
-    // A budget below the free-run footprint: the first ladder rung
-    // (shed cold regions, lossless) must absorb the pressure — the
-    // run verifies WITH its trace links intact.
-    ExploreLimits tight = freeLim;
-    tight.maxMemoryBytes = freeRun.memoryBytes * 95 / 100;
-    const ExploreResult r = explore(ts, tight);
-    EXPECT_EQ(r.status, VerifStatus::Verified);
-    EXPECT_GE(r.spillSheds, 1u);
-    EXPECT_FALSE(r.degradedTrace)
-        << "disk must be shed before predecessor links";
-    EXPECT_EQ(r.statesExplored, freeRun.statesExplored);
 }

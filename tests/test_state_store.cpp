@@ -2,9 +2,10 @@
  * @file
  * Unit suite for the arena-interned state store (state_store.hpp):
  * intern idempotence, fingerprint-collision fallback to the byte
- * compare (forced via a degenerate hash), growth across arena-slab
- * boundaries, and TSan-clean concurrent interning under the same
- * mutex discipline the parallel explorer uses.
+ * compare (forced via a degenerate hash, down to a whole exploration
+ * still finding its violation), growth across arena-slab boundaries,
+ * and TSan-clean concurrent interning under the same mutex discipline
+ * the parallel explorer uses.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "verif/explorer.hpp"
+#include "verif/models/mutants.hpp"
 #include "verif/state_store.hpp"
 
 using namespace neo;
@@ -347,4 +350,22 @@ TEST(StateStore, LookupHashedProbesWithoutInserting)
     EXPECT_EQ(store.lookupHashed(s1.data(), h1), id1);
     EXPECT_EQ(store.lookupHashed(s2.data(), h2), StateStore::kNoId);
     EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(StateStore, ForcedCollisionStillFindsViolation)
+{
+    // With an injected constant hash every state shares one
+    // fingerprint, so dedup rests entirely on the byte compare: the
+    // sequential explorer must still find the mutant's violation.
+    const verif::Mutant *m = verif::findMutant("leaf_silent_upgrade");
+    ASSERT_NE(m, nullptr);
+    ModelShape shape;
+    const TransitionSystem ts = m->build(shape);
+
+    ExploreLimits lim;
+    lim.maxSeconds = 60.0;
+    lim.store.hash = &collidingHash;
+    const ExploreResult r = explore(ts, lim);
+    EXPECT_EQ(r.status, VerifStatus::InvariantViolated);
+    EXPECT_EQ(r.violatedInvariant, m->violates);
 }

@@ -137,7 +137,9 @@ TEST_P(OpenSafety, CompositionModifiedVerifies)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OpenSafety, ::testing::Values(1, 2, 3),
                          [](const auto &info) {
-                             return "N" + std::to_string(info.param);
+                             std::string name = "N";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(Composition, NonSiblingForwardingFailsTheInvariant)
@@ -203,8 +205,9 @@ TEST(Parametric, ClosedNeoMESIConverges)
         testLimits());
     EXPECT_EQ(r.status, VerifStatus::Verified);
     EXPECT_TRUE(r.converged) << r.detail;
-    if (r.converged)
+    if (r.converged) {
         EXPECT_LE(r.cutoff, 5u);
+    }
 }
 
 TEST(Parametric, OpenNeoMESIConverges)

@@ -67,21 +67,12 @@ usage()
         "                    and traces are bit-identical either way —\n"
         "                    this is the differential baseline\n"
         "  --trace           print the counterexample, if any\n"
-        "capacity tiers (state-store scaling; see README):\n"
+        "capacity tier (state-store scaling; see README):\n"
         "  --store-tier T    plain | delta; delta stores each state as\n"
         "                    a varint diff against its BFS parent with\n"
         "                    periodic anchors    (default plain)\n"
         "  --anchor-every K  delta anchor stride: any state rebuilds\n"
         "                    in <= K chained diffs (default 8)\n"
-        "  --compact-hashes  store 64/128-bit fingerprints ONLY; a\n"
-        "                    verified verdict is probabilistic (the\n"
-        "                    omission probability is reported) and\n"
-        "                    --shrink/--parametric are refused\n"
-        "  --compact-bits B  fingerprint width, 64 or 128 (default 64)\n"
-        "  --spill-dir DIR   mmap cold store slabs under DIR; memory\n"
-        "                    pressure sheds them to disk before trace\n"
-        "                    links and long before EXCEEDED\n"
-        "  --spill-hot-bytes B  hot-slab LRU budget (default 256M)\n"
         "falsification (random walks instead of exhaustive search):\n"
         "  --walk            run seeded random walks, not reachability\n"
         "  --walks K         independent walks    (default 64)\n"
@@ -428,7 +419,6 @@ main(int argc, char **argv)
     bool want_trace = false;
     bool walk = false;
     bool shrink = false;
-    bool compact = false;
     WalkOptions wopt;
     ExploreLimits lim;
     lim.maxStates = 8'000'000;
@@ -503,25 +493,12 @@ main(int argc, char **argv)
             else if (t == "delta")
                 lim.store.tier = StoreTier::Delta;
             else
-                neo_fatal("--store-tier must be plain or delta "
-                          "(hash compaction is --compact-hashes)");
+                neo_fatal("--store-tier must be plain or delta");
         } else if (arg == "--anchor-every") {
             lim.store.anchorEvery =
                 static_cast<unsigned>(parseU64OrDie(arg, next()));
             if (lim.store.anchorEvery == 0)
                 neo_fatal("--anchor-every needs a value >= 1");
-        } else if (arg == "--compact-hashes") {
-            compact = true;
-        } else if (arg == "--compact-bits") {
-            lim.store.compactBits =
-                static_cast<unsigned>(parseU64OrDie(arg, next()));
-            if (lim.store.compactBits != 64 &&
-                lim.store.compactBits != 128)
-                neo_fatal("--compact-bits must be 64 or 128");
-        } else if (arg == "--spill-dir") {
-            lim.store.spillDir = next();
-        } else if (arg == "--spill-hot-bytes") {
-            lim.store.hotBytes = parseU64OrDie(arg, next());
         } else if (arg == "--checkpoint-dir") {
             ckpt.dir = next();
         } else if (arg == "--checkpoint-every") {
@@ -690,22 +667,6 @@ main(int argc, char **argv)
         neo_fatal("--sock needs a client verb "
                   "(--submit/--status/--cancel/--drain/--wait)");
 
-    // ---- capacity-tier setup ----
-    if (compact) {
-        lim.store.tier = StoreTier::Compact;
-        // Both refusals are soundness, not convenience: a shrink
-        // needs exact state identity, and a parametric cutoff proof
-        // built on probabilistic per-instance verdicts is no proof.
-        if (shrink)
-            neo_fatal("--shrink is incompatible with "
-                      "--compact-hashes: fingerprints cannot replay "
-                      "or minimize a trace soundly");
-        if (parametric)
-            neo_fatal("--parametric is incompatible with "
-                      "--compact-hashes: the cutoff argument needs "
-                      "exact (non-probabilistic) instance verdicts");
-    }
-
     // ---- crash-safe checkpointing setup ----
     if (ckpt.dir.empty() && (ckpt.resume || every_given))
         neo_fatal("--resume/--checkpoint-every require "
@@ -818,7 +779,6 @@ main(int argc, char **argv)
 
     if (walk) {
         wopt.threads = lim.threads;
-        wopt.store = lim.store;
         const WalkResult w = walkExplore(ts, wopt);
         if (w.resumed)
             std::printf("resumed from checkpoint (%llu walk%s "
@@ -853,9 +813,8 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(w.walkIndex),
                         w.trace.size());
             if (shrink) {
-                const ShrinkResult sr = shrinkTrace(
-                    ts, w.trace, w.violatedInvariant, 50'000,
-                    lim.store);
+                const ShrinkResult sr =
+                    shrinkTrace(ts, w.trace, w.violatedInvariant);
                 std::printf("  shrunk: %zu -> %zu steps "
                             "(%llu replays)\n",
                             sr.rawLength, sr.shrunkLength,
@@ -895,19 +854,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.guardEvalsSkipped),
                 static_cast<unsigned long long>(r.inPlaceFirings),
                 static_cast<unsigned long long>(r.canonIdentityHits));
-    if (lim.store.tier != StoreTier::Plain ||
-        !lim.store.spillDir.empty())
-        std::printf("  store tier: %s%s, %llu region sheds to disk\n",
-                    storeTierName(lim.store.tier),
-                    lim.store.spillDir.empty() ? "" : "+spill",
-                    static_cast<unsigned long long>(r.spillSheds));
-    if (r.compactHashes)
-        std::printf("  hash compaction (%u-bit): states counted by "
-                    "fingerprint; P(missed state) <= %.3g%s\n",
-                    lim.store.compactBits, r.omissionProbability,
-                    r.status == VerifStatus::Verified
-                        ? " — verified only up to that probability"
-                        : "");
+    if (lim.store.tier != StoreTier::Plain)
+        std::printf("  store tier: %s\n", storeTierName(lim.store.tier));
     if (r.degradedTrace)
         std::printf("  memory pressure shed predecessor links: counts "
                     "are exact, no counterexample trace\n");
