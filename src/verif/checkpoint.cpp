@@ -251,6 +251,10 @@ SnapshotReader::getF64()
 bool
 SnapshotReader::getBytes(std::uint8_t *out, std::size_t n)
 {
+    // A zero-length read may come with a null @p out (an empty
+    // vector's data()), which memcpy/memset must never see.
+    if (n == 0)
+        return ok_;
     if (!ok_ || size_ - pos_ < n) {
         ok_ = false;
         std::memset(out, 0, n);

@@ -60,7 +60,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     // store; the arena id IS the state id, and the parent edges
     // (trace reconstruction) are flat arrays indexed by it.
     StateStore store(ts.numVars(), explorePresizeHint(limits),
-                     nullptr, limits.store);
+                     limits.hash);
     std::vector<std::uint32_t> parentIds;
     std::vector<std::uint32_t> parentRules;
     // Runtime copy of keep_trace: memory-pressure degradation (below)
@@ -83,11 +83,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     const bool useIndex = limits.ruleIndex;
     const std::size_t R = rules.size();
     const std::size_t W = depIdx.ruleWords();
-    // In-place fire-and-undo needs the expansion scratch back in its
-    // pristine parent form for the NEXT firing — which the delta tier
-    // also needs as the diff base for the CURRENT intern, so in-place
-    // firing is disabled there (successors fire into a copy instead).
-    const bool deltaTier = limits.store.tier == StoreTier::Delta;
 
     const CheckpointConfig *ckpt = limits.checkpoint;
     const bool ckptActive = ckpt != nullptr && !ckpt->dir.empty();
@@ -157,8 +152,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
 
     auto estimate_memory = [&]() -> std::uint64_t {
         // Arena payload + open-addressing table, measured not
-        // modeled — memoryBytes() includes the delta tier's anchor
-        // index.
+        // modeled.
         std::uint64_t bytes = store.memoryBytes();
         if (tracing)
             bytes += parentIds.size() * sizeof(std::uint32_t) +
@@ -222,17 +216,11 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                 parentRules[static_cast<std::size_t>(i)],
                 depth[static_cast<std::size_t>(i)]};
         };
-        // Full-state layout, whatever the tier: delta records are
-        // reconstructed on the way out, which is exactly what lets a
-        // snapshot taken under one tier resume under the other.
-        VState scratch;
         const std::vector<std::uint8_t> payload =
             encodeExploreSnapshotStreamed(
                 meta, ts.numVars(),
-                [&](std::uint64_t i) -> const std::uint8_t * {
-                    store.copyTo(static_cast<std::uint32_t>(i),
-                                 scratch);
-                    return scratch.data();
+                [&](std::uint64_t i) {
+                    return store.at(static_cast<std::uint32_t>(i));
                 },
                 linkAt, frontierSize(),
                 [&](std::uint64_t n) {
@@ -283,8 +271,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             // get a full guard scan at expansion time.
             pushFrontierBits(false);
         };
-        // Re-interning encodes into WHATEVER tier this run uses, so
-        // plain and delta runs resume each other's snapshots.
         const bool okDecode = decodeExploreSnapshotStreamed(
             payload, ts.numVars(), rules.size(), meta, beginStates,
             [&](std::uint64_t, const std::uint8_t *state) {
@@ -474,10 +460,8 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                         static_cast<std::uint32_t>(r));
                     ++fired;
                     // Fire in place when the effect's write-set is
-                    // known and the store doesn't need the pristine
-                    // parent as a delta base; otherwise into a copy.
-                    const bool inPlace =
-                        comp.effectFlat(r) && !deltaTier;
+                    // known; otherwise into a copy.
+                    const bool inPlace = comp.effectFlat(r);
                     if (inPlace) {
                         undoCount = comp.effectInPlace(
                             r, cur, undoLog.data());
@@ -511,9 +495,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
                             ++result.canonIdentityHits;
                     }
                     const auto [nid, inserted] =
-                        deltaTier ? store.intern(succ->data(), id,
-                                                 cur.data())
-                                  : store.intern(succ->data());
+                        store.intern(succ->data());
                     if (inserted) {
                         if (tracing) {
                             parentIds.push_back(id);
@@ -672,10 +654,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             VState &next = batchBuf[k];
             ++result.transitionsFired;
             ++result.ruleFires[r];
-            // The BFS parent is in hand — the delta tier encodes
-            // `next` as a diff against `cur` with zero extra reads.
-            const auto [nid, inserted] =
-                store.intern(next.data(), id, cur.data());
+            const auto [nid, inserted] = store.intern(next.data());
             if (!inserted)
                 continue;
             if (tracing) {

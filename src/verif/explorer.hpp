@@ -50,10 +50,10 @@ struct ExploreLimits
      *  Interrupted), degrades gracefully under memory pressure, and
      *  can resume an earlier snapshot to the identical fixpoint. */
     const CheckpointConfig *checkpoint = nullptr;
-    /** State-store capacity tier (plain/delta) and the test-only hash
-     *  override (state_store.hpp), forwarded to every store an engine
-     *  builds. */
-    StoreTierOptions store = {};
+    /** Test-only state-hash override (forced-collision suites), used
+     *  by both engines wherever they hash a state; nullptr uses
+     *  stateHash(). */
+    StateStore::HashFn hash = nullptr;
     /** Dependency-indexed successor generation (transition_system.hpp
      *  RuleDepIndex): carry the parent's enabled-rule bitset with
      *  each frontier item, re-evaluate only guards whose read-set

@@ -128,11 +128,20 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         ckptActive ? modelFingerprint(ts) : 0;
     double baseSeconds = 0.0;
 
+    // The test-only hash override (ExploreLimits::hash) picks shards
+    // and fingerprints alike; the null branch keeps stateHash inlined
+    // on the default path.
+    const StateStore::HashFn hashOverride = limits.hash;
+    auto hashState = [hashOverride, numVars](const std::uint8_t *p) {
+        return hashOverride != nullptr ? hashOverride(p, numVars)
+                                       : stateHash(p, numVars);
+    };
+
     const std::uint64_t presize = explorePresizeHint(limits);
     std::vector<Shard> shards(kShardCount);
     for (auto &sh : shards)
         sh.store = std::make_unique<StateStore>(
-            numVars, presize / kShardCount, nullptr, limits.store);
+            numVars, presize / kShardCount, limits.hash);
     std::vector<RingQueue> queues(nthreads);
     // Standing queue footprint (ring cell arrays + slack), fixed for
     // the run, charged once in the memory estimate below.
@@ -188,10 +197,11 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     };
 
     // Same accounting as the sequential explorer: the measured arena
-    // + table aggregate, the flat predecessor arrays, the frontier,
-    // the standing shard/queue structures and — when checkpointing —
-    // the snapshot serialization buffer, so the bound holds on the
-    // robust path too.
+    // + table aggregate (each shard's memoryBytes() already counts
+    // its StateStore header), the flat predecessor arrays, the
+    // frontier, the standing shard/queue structures and — when
+    // checkpointing — the snapshot serialization buffer, so the bound
+    // holds on the robust path too.
     auto estimate_memory = [&]() -> std::uint64_t {
         const bool tracing = traceOn.load(std::memory_order_relaxed);
         const std::uint64_t per_trace = tracing ? 16 : 0;
@@ -201,8 +211,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         const std::uint64_t per_ckpt_frontier =
             ckptActive ? numVars + 12 : 0;
         const std::uint64_t structural =
-            kShardCount * (sizeof(Shard) + sizeof(StateStore)) +
-            queueFixedBytes;
+            kShardCount * sizeof(Shard) + queueFixedBytes;
         return storeBytes.load(std::memory_order_relaxed) +
                statesTotal.load(std::memory_order_relaxed) *
                    (per_trace + per_ckpt_state) +
@@ -332,18 +341,13 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 frontier.emplace_back(dense(w.id), w.depth);
             });
         }
-        // Full-state layout, whatever the tier: delta records are
-        // reconstructed on the way out.
-        VState scratch;
         const std::vector<std::uint8_t> payload =
             encodeExploreSnapshotStreamed(
                 meta, numVars,
-                [&](std::uint64_t i) -> const std::uint8_t * {
+                [&](std::uint64_t i) {
                     const std::size_t sh = shardOf(i);
-                    shards[sh].store->copyTo(
-                        static_cast<std::uint32_t>(i - prefix[sh]),
-                        scratch);
-                    return scratch.data();
+                    return shards[sh].store->at(
+                        static_cast<std::uint32_t>(i - prefix[sh]));
                 },
                 linkAt, frontier.size(),
                 [&](std::uint64_t n) {
@@ -403,7 +407,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         const bool okDecode = decodeExploreSnapshotStreamed(
             payload, numVars, rules.size(), meta, beginStates,
             [&](std::uint64_t id, const std::uint8_t *state) {
-                const std::uint64_t h = stateHash(state, numVars);
+                const std::uint64_t h = hashState(state);
                 const std::size_t sh = h & (kShardCount - 1);
                 const std::uint32_t local =
                     shards[sh].store->internHashed(state, h).first;
@@ -443,7 +447,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             canon(init);
         std::uint64_t initId;
         {
-            const std::uint64_t h = stateHash(init.data(), numVars);
+            const std::uint64_t h = hashState(init.data());
             const std::size_t sh = h & (kShardCount - 1);
             shards[sh].store->internHashed(init.data(), h);
             if (keep_trace) {
@@ -593,8 +597,6 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         std::vector<std::uint64_t> batchHash;
         std::vector<std::uint8_t> batchIdent; // canon-identity flags
         std::vector<std::uint32_t> order; // batch indices, shard-sorted
-        std::vector<const std::uint8_t *> ptrs;
-        std::vector<std::uint64_t> hashes;
         std::vector<std::pair<std::uint32_t, bool>> ids;
         std::vector<WorkItem> pushList;
         // Index-path scratch: the popped item's bitset and the
@@ -698,7 +700,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 }
                 batchIdent[batchN] = identical ? 1 : 0;
                 batchRule[batchN] = static_cast<std::uint32_t>(r);
-                batchHash[batchN] = stateHash(nx.data(), numVars);
+                batchHash[batchN] = hashState(nx.data());
                 transitionsTotal.fetch_add(1,
                                            std::memory_order_relaxed);
                 ruleFires[r].fetch_add(1, std::memory_order_relaxed);
@@ -769,25 +771,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                            sh)
                     ++ge;
                 const std::size_t groupSize = ge - gi;
-                ptrs.resize(groupSize);
-                hashes.resize(groupSize);
                 ids.resize(groupSize);
-                for (std::size_t k = 0; k < groupSize; ++k) {
-                    const std::uint32_t bi = order[gi + k];
-                    ptrs[k] = batchBuf[bi].data();
-                    hashes[k] = batchHash[bi];
-                }
-                // The BFS parent is only a valid delta base when it
-                // lives in this shard (delta records reference a
-                // local arena id); cross-shard groups fall back to
-                // the store's own last-interned base.
-                const bool sameShard = (item.id >> 32) == sh;
-                const std::uint32_t baseId =
-                    sameShard ? static_cast<std::uint32_t>(
-                                    item.id & 0xffffffffULL)
-                              : StateStore::kNoId;
-                const std::uint8_t *baseBytes =
-                    sameShard ? cur.data() : nullptr;
                 std::size_t processed = groupSize;
                 std::int64_t freshCount = 0;
                 std::uint64_t grewBy;
@@ -802,17 +786,17 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                         // Fast path: the whole group is admitted up
                         // front, so intern it blind (no lookups) and
                         // return the tokens duplicates didn't use.
-                        store.internBatchHashed(
-                            ptrs.data(), hashes.data(), groupSize,
-                            baseId, baseBytes, ids.data());
                         for (std::size_t k = 0; k < groupSize; ++k) {
+                            const std::uint32_t bi = order[gi + k];
+                            ids[k] = store.internHashed(
+                                batchBuf[bi].data(), batchHash[bi]);
                             if (!ids[k].second)
                                 continue;
                             ++freshCount;
                             if (tracing) {
                                 shards[sh].parents.push_back(item.id);
                                 shards[sh].ruleOf.push_back(
-                                    batchRule[order[gi + k]]);
+                                    batchRule[bi]);
                                 shards[sh].depthOf.push_back(
                                     item.depth + 1);
                             }
@@ -826,9 +810,10 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                         // states one token at a time until the budget
                         // is truly dry.
                         for (std::size_t k = 0; k < groupSize; ++k) {
+                            const std::uint32_t bi = order[gi + k];
                             const std::uint32_t found =
-                                store.lookupHashed(ptrs[k],
-                                                   hashes[k]);
+                                store.lookupHashed(batchBuf[bi].data(),
+                                                   batchHash[bi]);
                             if (found != StateStore::kNoId) {
                                 ids[k] = {found, false};
                                 continue;
@@ -851,8 +836,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                                 break;
                             }
                             ids[k] = store.internHashed(
-                                ptrs[k], hashes[k], baseId,
-                                baseBytes);
+                                batchBuf[bi].data(), batchHash[bi]);
                             if (ids[k].second) {
                                 // Publish immediately, NOT via the
                                 // deferred freshCount flush: the next
@@ -867,7 +851,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                                     shards[sh].parents.push_back(
                                         item.id);
                                     shards[sh].ruleOf.push_back(
-                                        batchRule[order[gi + k]]);
+                                        batchRule[bi]);
                                     shards[sh].depthOf.push_back(
                                         item.depth + 1);
                                 }

@@ -1,7 +1,6 @@
 /**
  * @file
- * Arena-interned state storage for the exploration engines, with an
- * optional delta tier.
+ * Arena-interned state storage for the exploration engines.
  *
  * Murphi-lineage checkers win capacity battles by refusing to pay
  * per-state heap structure: canonical states live contiguously in
@@ -14,27 +13,16 @@
  * BFS, the sharded parallel explorer, the trace shrinker) dedupes
  * through this store instead of `std::unordered_map<VState, id>`.
  *
- * Both tiers keep every state's full bytes recoverable, and a
- * fingerprint hit is always confirmed by a byte compare, so a verdict
- * is exact under either:
- *
- *  - StoreTier::Plain — one fixed-stride full record per state.
- *
- *  - StoreTier::Delta — a state is stored as a varint-encoded diff
- *    against an earlier state (its BFS parent when the engine has it
- *    in hand, else the previously interned state), with full-record
- *    anchors every `anchorEvery` hops so any state reconstructs in a
- *    bounded walk. BFS neighbours differ in a handful of variables,
- *    so the per-state payload drops from `stride` bytes to a few.
+ * Every state keeps its full bytes, and a fingerprint hit is always
+ * confirmed by a byte compare, so a verdict is exact.
  *
  * Concurrency contract: intern() and reserve() require external
  * synchronization (the parallel explorer wraps each shard's store in
  * that shard's mutex). at()/copyTo()/stride() are safe to call
  * WITHOUT the lock for any id whose publication happened-before the
  * call (e.g. an id received through the frontier ring): slab pointers
- * live in fixed-size arrays that are never reallocated, and a state's
- * bytes — including every delta record on its anchor chain — are
- * written exactly once, before its id escapes the lock.
+ * live in a fixed-size array that is never reallocated, and a state's
+ * bytes are written exactly once, before its id escapes the lock.
  */
 
 #ifndef NEO_VERIF_STATE_STORE_HPP
@@ -45,7 +33,6 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "verif/transition_system.hpp"
 
@@ -90,29 +77,6 @@ stateHash(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
-/** How state payloads are represented inside the store. */
-enum class StoreTier : std::uint8_t
-{
-    Plain = 0, ///< fixed-stride full records
-    Delta = 1, ///< varint parent-diff records with anchor chains
-};
-
-const char *storeTierName(StoreTier t);
-
-/**
- * Tier configuration, carried by ExploreLimits into every engine and
- * forwarded verbatim to each StateStore they build.
- */
-struct StoreTierOptions
-{
-    StoreTier tier = StoreTier::Plain;
-    /** Max delta-chain hops before a full anchor record (Delta). */
-    unsigned anchorEvery = 8;
-    /** Test-only hash override (forced-collision suites); nullptr
-     *  uses stateHash(). */
-    std::uint64_t (*hash)(const std::uint8_t *, std::size_t) = nullptr;
-};
-
 /**
  * Interning store: a bump arena of state records plus an
  * open-addressing visited table (linear probing, power-of-two
@@ -130,8 +94,7 @@ class StateStore
     using HashFn = std::uint64_t (*)(const std::uint8_t *,
                                      std::size_t);
 
-    /** Arena id sentinel for an empty table slot / a lookup miss /
-     *  "no delta base". */
+    /** Arena id sentinel for an empty table slot / a lookup miss. */
     static constexpr std::uint32_t kNoId = 0xffffffffu;
 
     /**
@@ -140,13 +103,11 @@ class StateStore
      *        this many states (0 = start minimal and grow)
      * @param hash override the state hash — tests inject degenerate
      *        hashes to force fingerprint collisions; nullptr uses
-     *        stateHash() (opts.hash, when set, wins over this)
-     * @param opts capacity tier
+     *        stateHash()
      */
     explicit StateStore(std::size_t stride,
                         std::uint64_t expectedStates = 0,
-                        HashFn hash = nullptr,
-                        const StoreTierOptions &opts = {});
+                        HashFn hash = nullptr);
 
     StateStore(const StateStore &) = delete;
     StateStore &operator=(const StateStore &) = delete;
@@ -159,9 +120,8 @@ class StateStore
      * inserted). A state equal byte-for-byte to an already-interned
      * one returns the existing id — the fingerprint pre-filter
      * rejects almost all non-equal probes, and a full byte compare
-     * (reconstructing through the delta codec when needed) confirms
-     * every fingerprint hit, so hash collisions can never conflate
-     * two distinct states.
+     * confirms every fingerprint hit, so hash collisions can never
+     * conflate two distinct states.
      */
     std::pair<std::uint32_t, bool> intern(const std::uint8_t *state)
     {
@@ -171,34 +131,10 @@ class StateStore
     {
         return intern(s.data());
     }
-    /** Intern with an explicit delta base (see internHashed below);
-     *  hashes internally. */
+    /** Intern with a precomputed hash — the parallel explorer hashes
+     *  once for shard selection and reuses it. */
     std::pair<std::uint32_t, bool>
-    intern(const std::uint8_t *state, std::uint32_t baseId,
-           const std::uint8_t *baseBytes)
-    {
-        return internHashed(state, hash_(state, stride_), baseId,
-                            baseBytes);
-    }
-    /** Intern with a precomputed stateHash() value — the parallel
-     *  explorer hashes once for shard selection and reuses it. The
-     *  delta base defaults to the most recently interned state. */
-    std::pair<std::uint32_t, bool>
-    internHashed(const std::uint8_t *state, std::uint64_t hash)
-    {
-        return internHashed(state, hash, kNoId, nullptr);
-    }
-    /**
-     * Intern with an explicit delta base (Delta tier): @p baseId is
-     * an id already interned HERE and @p baseBytes its full bytes
-     * (the BFS engines have the parent state in hand when expanding,
-     * so no reconstruction is paid on the hot path). kNoId/nullptr
-     * falls back to the previously interned state; ignored in the
-     * Plain tier.
-     */
-    std::pair<std::uint32_t, bool>
-    internHashed(const std::uint8_t *state, std::uint64_t hash,
-                 std::uint32_t baseId, const std::uint8_t *baseBytes);
+    internHashed(const std::uint8_t *state, std::uint64_t hash);
 
     /**
      * Probe-only lookup: the id @p state would dedup to, or kNoId if
@@ -212,63 +148,23 @@ class StateStore
     std::uint32_t lookupHashed(const std::uint8_t *state,
                                std::uint64_t hash) const;
 
-    /**
-     * Batch intern under ONE external lock acquisition: interns
-     * @p states[0..n) (hashes precomputed in @p hashes) in order and
-     * writes (id, inserted) per element to @p out. All elements share
-     * one delta base — @p baseId/@p baseBytes exactly as in
-     * internHashed(); the parallel explorer groups a dequeued state's
-     * successors by shard and passes the parent once per group.
-     * Duplicates WITHIN the batch dedup exactly like repeated
-     * intern() calls (the second occurrence returns the first's id),
-     * so batch-of-N is id-for-id identical to N single interns — the
-     * property tests/test_state_store.cpp pins.
-     */
-    void internBatchHashed(const std::uint8_t *const *states,
-                           const std::uint64_t *hashes, std::size_t n,
-                           std::uint32_t baseId,
-                           const std::uint8_t *baseBytes,
-                           std::pair<std::uint32_t, bool> *out);
+    /** Bytes of an interned state; stable for the store's lifetime. */
+    const std::uint8_t *at(std::uint32_t id) const { return record(id); }
 
-    /**
-     * Bytes of an interned state; stable for the store's lifetime.
-     * Plain tier only — Delta records must be reconstructed through
-     * copyTo() (fatal otherwise).
-     */
-    const std::uint8_t *at(std::uint32_t id) const
-    {
-        if (tier_ != StoreTier::Plain)
-            badTierAt();
-        return record(id);
-    }
-
-    /** Full bytes of state @p id into @p out; reconstructs through
-     *  the anchor chain in the Delta tier. */
+    /** Full bytes of state @p id into @p out. */
     void copyTo(std::uint32_t id, VState &out) const
     {
-        if (tier_ == StoreTier::Plain) {
-            const std::uint8_t *p = record(id);
-            out.assign(p, p + stride_);
-        } else {
-            out.resize(stride_);
-            reconstruct(id, out.data());
-        }
+        const std::uint8_t *p = at(id);
+        out.assign(p, p + stride_);
     }
-
-    /** Delta-chain hops from @p id to its anchor (0 = @p id is an
-     *  anchor). Bounded by anchorEvery; 0 in the Plain tier. */
-    unsigned hopOf(std::uint32_t id) const;
 
     std::uint64_t size() const { return size_; }
     std::size_t stride() const { return stride_; }
     std::uint64_t tableCapacity() const { return capacity_; }
-    StoreTier tier() const { return tier_; }
-    unsigned anchorEvery() const { return anchorEvery_; }
 
     /**
-     * Actual live footprint charged against `maxMemoryBytes`:
-     * interned payload bytes (state records, or delta records plus
-     * their anchor index), slab bookkeeping, and the full table
+     * Actual live footprint charged against `maxMemoryBytes`: the
+     * interned records, slab bookkeeping, and the full table
      * allocation. Untouched tail pages of the newest slab are
      * virtual-only (never written), so they are not charged.
      */
@@ -307,73 +203,35 @@ class StateStore
             (fp * 2654435769u) >> (32 - lgCapacity_));
     }
 
-    /** A geometric slab family: fixed pointer directory (never
-     *  reallocated — the lock-free read guarantee), element-granular
-     *  addressing shared by plain records, delta bytes and the delta
-     *  index. */
-    struct Arena
-    {
-        std::uint8_t *slabs[kMaxSlabs] = {};
-        unsigned nSlabs = 0;
-        unsigned firstLog2 = 10;
-        std::uint64_t capacity = 0; ///< elements the slabs can hold
-        std::size_t elemSize = 1;
-    };
-
-    // Element address: slab k holds `1 << (firstLog2 + k)` elements,
-    // so slab k's first element is `((1 << k) - 1) << firstLog2` and
-    // the owning slab of idx is found with one bit-scan — no
-    // division, no directory realloc.
-    static std::uint8_t *arenaPtr(const Arena &a, std::uint64_t idx)
-    {
-        const std::uint64_t q = (idx >> a.firstLog2) + 1;
-        const unsigned k =
-            static_cast<unsigned>(std::bit_width(q)) - 1;
-        const std::uint64_t base = ((1ULL << k) - 1) << a.firstLog2;
-        return a.slabs[k] + (idx - base) * a.elemSize;
-    }
-    static void arenaGrow(Arena &a);
-    static void arenaFree(Arena &a);
-
+    // Record address: slab k holds `1 << (firstLog2_ + k)` records,
+    // so slab k's first record is `((1 << k) - 1) << firstLog2_` and
+    // the owning slab of id is found with one bit-scan — no division,
+    // no directory realloc.
     std::uint8_t *record(std::uint32_t id) const
     {
-        return arenaPtr(states_, id);
+        const std::uint64_t q = (std::uint64_t{id} >> firstLog2_) + 1;
+        const unsigned k =
+            static_cast<unsigned>(std::bit_width(q)) - 1;
+        const std::uint64_t base = ((1ULL << k) - 1) << firstLog2_;
+        return slabs_[k] + (id - base) * stride_;
     }
     bool equalsStored(std::uint32_t id, const std::uint8_t *state) const
     {
-        if (tier_ == StoreTier::Plain)
-            return std::memcmp(record(id), state, stride_) == 0;
-        reconstruct(id, cmpBuf_.data());
-        return std::memcmp(cmpBuf_.data(), state, stride_) == 0;
+        return std::memcmp(record(id), state, stride_) == 0;
     }
-    [[noreturn]] void badTierAt() const;
+    void growArena();
     void allocTable(std::uint64_t capacity);
     void growTable();
 
-    // Tier internals.
-    std::uint32_t pushPlain(const std::uint8_t *state);
-    std::uint32_t pushDelta(const std::uint8_t *state,
-                            std::uint32_t baseId,
-                            const std::uint8_t *baseBytes);
-    void reconstruct(std::uint32_t id, std::uint8_t *out) const;
-
     std::size_t stride_;
     HashFn hash_;
-    StoreTier tier_ = StoreTier::Plain;
-    unsigned anchorEvery_ = 8;
 
-    Arena states_; ///< Plain: stride-sized records
-    Arena bytes_;  ///< Delta: varint records, byte-granular
-    Arena index_;  ///< Delta: 8-byte (offset<<8 | hop) per id
-    std::uint64_t byteTail_ = 0; ///< Delta: next free byte offset
-
-    /** Previously interned state's bytes (Delta): the fallback delta
-     *  base when the caller has no parent in hand (cross-shard
-     *  parents in the parallel explorer). */
-    std::vector<std::uint8_t> lastState_;
-    std::uint32_t lastId_ = kNoId;
-    /** Reconstruction scratch for the intern-side byte compare. */
-    mutable std::vector<std::uint8_t> cmpBuf_;
+    /** Geometric slab family: a fixed pointer directory (never
+     *  reallocated — the lock-free read guarantee). */
+    std::uint8_t *slabs_[kMaxSlabs] = {};
+    unsigned nSlabs_ = 0;
+    unsigned firstLog2_ = 10;
+    std::uint64_t arenaCapacity_ = 0; ///< records the slabs can hold
 
     Slot *table_ = nullptr;
     std::uint64_t capacity_ = 0;

@@ -679,106 +679,6 @@ TEST_F(CheckpointTest, MemoryBoundHonoredWithinFivePercent)
 }
 
 // ----------------------------------------------------------------
-// Capacity tiers x checkpointing: the snapshot layout is canonical,
-// so the tier — like the thread count — is a per-run choice.
-// ----------------------------------------------------------------
-
-TEST_F(CheckpointTest, CrossTierResume)
-{
-    // Full-state snapshots re-intern on resume, so the tier that
-    // WRITES a snapshot places no constraint on the tier that READS
-    // it: plain -> delta, delta -> plain, with a thread-count change
-    // thrown in (tier and mode are orthogonal).
-    ModelShape shape;
-    const TransitionSystem ts = buildGermanModel(4, shape);
-    const ExploreLimits lim{2'000'000, 120.0};
-    const ExploreResult ref = explore(ts, lim, false, true);
-    ASSERT_EQ(ref.status, VerifStatus::Verified);
-    const std::uint64_t s = ref.statesExplored;
-
-    const StoreTierOptions plain;
-    StoreTierOptions delta;
-    delta.tier = StoreTier::Delta;
-
-    struct Leg
-    {
-        StoreTierOptions store;
-        unsigned threads;
-        std::uint64_t interruptAfter; // 0 = run to completion
-    };
-    const std::vector<std::vector<Leg>> schedules = {
-        {{plain, 1, s / 3}, {delta, 1, 0}},
-        {{delta, 1, s / 3}, {plain, 1, 0}},
-        {{delta, 1, s / 4}, {delta, 4, 0}}, // mode change only
-        {{plain, 4, s / 3}, {delta, 1, 0}}, // tier AND mode change
-    };
-    for (std::size_t k = 0; k < schedules.size(); ++k) {
-        SCOPED_TRACE("schedule " + std::to_string(k));
-        TempDir dir;
-        CheckpointConfig cfg;
-        cfg.dir = dir.path();
-        ExploreResult r;
-        for (std::size_t leg = 0; leg < schedules[k].size(); ++leg) {
-            clearInterruptRequest();
-            const Leg &L = schedules[k][leg];
-            cfg.resume = leg > 0;
-            ExploreLimits l = lim;
-            l.threads = L.threads;
-            l.checkpoint = &cfg;
-            l.store = L.store;
-            std::atomic<std::uint64_t> seen{0};
-            const std::uint64_t thresh =
-                L.interruptAfter == 0
-                    ? std::numeric_limits<std::uint64_t>::max()
-                    : L.interruptAfter;
-            r = explore(ts, l, false, true, [&](const VState &) {
-                if (seen.fetch_add(1, std::memory_order_relaxed) +
-                        1 >=
-                    thresh)
-                    requestInterrupt();
-            });
-            if (L.interruptAfter == 0)
-                break;
-            ASSERT_EQ(r.status, VerifStatus::Interrupted);
-        }
-        clearInterruptRequest();
-        expectSameFixpoint(r, ref);
-    }
-}
-
-TEST_F(CheckpointTest, MemoryBoundHonoredWithinFivePercentDeltaTier)
-{
-    // The ±5% contract of MemoryBoundHonoredWithinFivePercent must
-    // survive the delta tier: the accounting counts the anchor/diff
-    // byte arena and the (offset|hop) index — not the plain arena —
-    // so the boundary sits at the DELTA footprint.
-    const TransitionSystem ts = chainSystem(200);
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        TempDir dir;
-        CheckpointConfig cfg;
-        cfg.dir = dir.path();
-        ExploreLimits lim{1'024, 60.0};
-        lim.threads = threads;
-        lim.checkpoint = &cfg;
-        lim.store.tier = StoreTier::Delta;
-        const ExploreResult free = explore(ts, lim, false, false);
-        ASSERT_EQ(free.status, VerifStatus::Verified);
-        ASSERT_GT(free.memoryBytes, 0u);
-
-        ExploreLimits over = lim;
-        over.maxMemoryBytes = free.memoryBytes * 105 / 100;
-        EXPECT_EQ(explore(ts, over, false, false).status,
-                  VerifStatus::Verified);
-
-        ExploreLimits under = lim;
-        under.maxMemoryBytes = free.memoryBytes * 95 / 100;
-        EXPECT_EQ(explore(ts, under, false, false).status,
-                  VerifStatus::LimitExceeded);
-    }
-}
-
-// ----------------------------------------------------------------
 // Random-walk checkpoint/resume.
 // ----------------------------------------------------------------
 
@@ -1107,6 +1007,29 @@ TEST_F(CheckpointTest, WriterReaderRoundTrip)
     // Over-read latches ok() false and never throws.
     EXPECT_EQ(r.getU64(), 0u);
     EXPECT_FALSE(r.ok());
+}
+
+TEST_F(CheckpointTest, ZeroLengthReadIsANoOp)
+{
+    // Reading 0 bytes into an empty vector hands getBytes a null
+    // destination; it must neither touch it nor move the cursor.
+    SnapshotWriter w;
+    w.putU32(0xdeadbeef);
+    SnapshotReader r(w.buffer());
+    std::vector<std::uint8_t> none;
+    EXPECT_TRUE(r.getBytes(none.data(), none.size()));
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.getU32(), 0xdeadbeefu); // cursor did not move
+    EXPECT_TRUE(r.getBytes(none.data(), none.size()));
+    EXPECT_TRUE(r.atEnd());
+
+    // After an over-read the zero-length read reports the latched
+    // failure and leaves it latched.
+    EXPECT_EQ(r.getU8(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(r.getBytes(none.data(), none.size()));
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(none.empty());
 }
 
 TEST_F(CheckpointTest, Crc32MatchesKnownVector)

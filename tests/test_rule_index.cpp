@@ -2,7 +2,7 @@
  * @file
  * Dependency-indexed successor generation: RuleDepIndex construction
  * unit tests, differential fixpoint equality with the index on vs off
- * (sequential, parallel, the delta store tier, the random walker)
+ * (sequential, parallel, the random walker)
  * across every bundled model and corpus mutant, identity-gate fallback
  * behavior when the canonicalizer has no exactness predicate, and
  * counter sanity.
@@ -248,14 +248,12 @@ struct Fix
 };
 
 Fix
-runFix(const TransitionSystem &ts, bool index, unsigned threads = 1,
-       StoreTierOptions store = {})
+runFix(const TransitionSystem &ts, bool index, unsigned threads = 1)
 {
     ExploreLimits lim;
     lim.maxSeconds = 300.0;
     lim.threads = threads;
     lim.ruleIndex = index;
-    lim.store = store;
     const ExploreResult r = explore(ts, lim, false, threads == 1);
     return Fix{r.status,           r.statesExplored,
                r.transitionsFired, r.invariantChecks,
@@ -384,27 +382,6 @@ TEST(IndexDifferentialParallel, GermanThreadsAgree)
         expectSameFix(runFix(ts, false, threads), seqOn,
                       "threads=" + std::to_string(threads) + " off");
     }
-}
-
-TEST(IndexDifferentialTiers, DeltaAgrees)
-{
-    ModelShape shape;
-    const TransitionSystem ts = verif::buildGermanModel(4, shape);
-    const Fix plain = runFix(ts, true);
-
-    StoreTierOptions delta;
-    delta.tier = StoreTier::Delta;
-    for (bool index : {true, false})
-        expectSameFix(runFix(ts, index, 1, delta), plain, "delta");
-
-    // The delta tier interns against the pristine parent bytes, so
-    // in-place firing is disabled there — the counter must say so.
-    ExploreLimits lim;
-    lim.maxSeconds = 300.0;
-    lim.store = delta;
-    const ExploreResult r = explore(ts, lim, false, false);
-    EXPECT_EQ(r.inPlaceFirings, 0u);
-    EXPECT_GT(r.guardEvalsSkipped, 0u); // bitset delta still on
 }
 
 // ---------------------------------------------------------------------

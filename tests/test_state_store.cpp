@@ -2,18 +2,20 @@
  * @file
  * Unit suite for the arena-interned state store (state_store.hpp):
  * intern idempotence, fingerprint-collision fallback to the byte
- * compare (forced via a degenerate hash, down to a whole exploration
- * still finding its violation), growth across arena-slab boundaries,
- * and TSan-clean concurrent interning under the same mutex discipline
- * the parallel explorer uses.
+ * compare (forced via a degenerate hash, down to whole explorations
+ * in both engines still finding their violation), growth across
+ * arena-slab boundaries, probe-only lookups, and TSan-clean
+ * concurrent interning under the same mutex discipline the parallel
+ * explorer uses.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,12 +38,16 @@ counterState(std::size_t stride, std::uint64_t v)
     return s;
 }
 
+/** Calls of collidingHash, so a test can tell the hook was used. */
+std::atomic<std::uint64_t> collidingHashCalls{0};
+
 /** Degenerate hash: every state collides into one fingerprint AND
  *  one probe-start slot, so dedup correctness rests entirely on the
  *  byte-compare fallback. */
 std::uint64_t
 collidingHash(const std::uint8_t *, std::size_t)
 {
+    collidingHashCalls.fetch_add(1, std::memory_order_relaxed);
     return 0x1234567812345678ULL;
 }
 
@@ -243,96 +249,6 @@ TEST(StateStore, ConcurrentShardedInterningIsRaceFree)
     EXPECT_EQ(total, values.size());
 }
 
-// ---------------------------------------------------------------------
-// Batch interning (internBatchHashed) — the parallel explorer's
-// shard-group path. Property: interning N states as one batch is
-// id-for-id and inserted-for-inserted IDENTICAL to N single
-// internHashed calls, including duplicates within a batch, batches
-// that straddle arena-slab boundaries, and the Delta tier's
-// base-relative records.
-// ---------------------------------------------------------------------
-
-TEST(StateStore, BatchInternMatchesSinglesIdForId)
-{
-    const std::size_t stride = 16;
-    for (const StoreTier tier : {StoreTier::Plain, StoreTier::Delta}) {
-        StoreTierOptions opts;
-        opts.tier = tier;
-        StateStore batched(stride, 0, nullptr, opts);
-        StateStore singly(stride, 0, nullptr, opts);
-
-        // A shared delta base, interned first in both stores.
-        const auto base = counterState(stride, 0xb00f);
-        const std::uint64_t baseHash = stateHash(base.data(), stride);
-        ASSERT_EQ(batched.internHashed(base.data(), baseHash),
-                  singly.internHashed(base.data(), baseHash));
-
-        // ~1500 distinct states (well past the first slab) with
-        // deliberate repeats: i%7==3 duplicates its predecessor
-        // (in-batch dup), and the second half replays the first
-        // (cross-batch dup).
-        constexpr std::size_t kTotal = 3000;
-        std::vector<std::vector<std::uint8_t>> states;
-        states.reserve(kTotal);
-        for (std::size_t i = 0; i < kTotal; ++i) {
-            const std::uint64_t v =
-                (i % 7 == 3 && i > 0) ? (i - 1) % 1500 : i % 1500;
-            states.push_back(counterState(stride, 0x1000 + v));
-        }
-
-        // Varying group sizes (1..37) so batches land on every slab
-        // boundary alignment; alternate between the explicit base and
-        // the kNoId fallback like cross-shard groups do.
-        std::size_t i = 0;
-        std::size_t gsz = 1;
-        bool useBase = true;
-        std::vector<const std::uint8_t *> ptrs;
-        std::vector<std::uint64_t> hashes;
-        std::vector<std::pair<std::uint32_t, bool>> out;
-        while (i < kTotal) {
-            const std::size_t n = std::min(gsz, kTotal - i);
-            ptrs.resize(n);
-            hashes.resize(n);
-            out.resize(n);
-            for (std::size_t k = 0; k < n; ++k) {
-                ptrs[k] = states[i + k].data();
-                hashes[k] = stateHash(ptrs[k], stride);
-            }
-            const std::uint32_t baseId =
-                useBase ? 0 : StateStore::kNoId;
-            const std::uint8_t *baseBytes =
-                useBase ? base.data() : nullptr;
-            batched.internBatchHashed(ptrs.data(), hashes.data(), n,
-                                      baseId, baseBytes, out.data());
-            for (std::size_t k = 0; k < n; ++k) {
-                const auto single = singly.internHashed(
-                    ptrs[k], hashes[k], baseId, baseBytes);
-                ASSERT_EQ(out[k].first, single.first)
-                    << storeTierName(tier) << " id diverged at state "
-                    << (i + k);
-                ASSERT_EQ(out[k].second, single.second)
-                    << storeTierName(tier)
-                    << " inserted flag diverged at state " << (i + k);
-            }
-            i += n;
-            gsz = gsz % 37 + 1;
-            useBase = !useBase;
-        }
-        ASSERT_EQ(batched.size(), singly.size());
-        ASSERT_GT(batched.size(), 1024u)
-            << "fixture no longer crosses the first slab boundary";
-
-        // Byte-exact reconstruction through both stores (the Delta
-        // tier decodes base-relative records here).
-        VState a, b;
-        for (std::uint32_t id = 0; id < batched.size(); id += 97) {
-            batched.copyTo(id, a);
-            singly.copyTo(id, b);
-            ASSERT_EQ(a, b) << storeTierName(tier) << " id " << id;
-        }
-    }
-}
-
 TEST(StateStore, LookupHashedProbesWithoutInserting)
 {
     const std::size_t stride = 8;
@@ -355,17 +271,25 @@ TEST(StateStore, LookupHashedProbesWithoutInserting)
 TEST(StateStore, ForcedCollisionStillFindsViolation)
 {
     // With an injected constant hash every state shares one
-    // fingerprint, so dedup rests entirely on the byte compare: the
-    // sequential explorer must still find the mutant's violation.
+    // fingerprint (and, in the parallel explorer, one shard), so
+    // dedup rests entirely on the byte compare: both engines must
+    // still find the mutant's violation.
     const verif::Mutant *m = verif::findMutant("leaf_silent_upgrade");
     ASSERT_NE(m, nullptr);
     ModelShape shape;
     const TransitionSystem ts = m->build(shape);
 
-    ExploreLimits lim;
-    lim.maxSeconds = 60.0;
-    lim.store.hash = &collidingHash;
-    const ExploreResult r = explore(ts, lim);
-    EXPECT_EQ(r.status, VerifStatus::InvariantViolated);
-    EXPECT_EQ(r.violatedInvariant, m->violates);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExploreLimits lim;
+        lim.maxSeconds = 60.0;
+        lim.threads = threads;
+        lim.hash = &collidingHash;
+        collidingHashCalls = 0;
+        const ExploreResult r = explore(ts, lim);
+        EXPECT_EQ(r.status, VerifStatus::InvariantViolated);
+        EXPECT_EQ(r.violatedInvariant, m->violates);
+        // Every state the engine hashed went through the hook.
+        EXPECT_GE(collidingHashCalls.load(), r.statesExplored);
+    }
 }

@@ -67,12 +67,6 @@ usage()
         "                    and traces are bit-identical either way —\n"
         "                    this is the differential baseline\n"
         "  --trace           print the counterexample, if any\n"
-        "capacity tier (state-store scaling; see README):\n"
-        "  --store-tier T    plain | delta; delta stores each state as\n"
-        "                    a varint diff against its BFS parent with\n"
-        "                    periodic anchors    (default plain)\n"
-        "  --anchor-every K  delta anchor stride: any state rebuilds\n"
-        "                    in <= K chained diffs (default 8)\n"
         "falsification (random walks instead of exhaustive search):\n"
         "  --walk            run seeded random walks, not reachability\n"
         "  --walks K         independent walks    (default 64)\n"
@@ -486,19 +480,6 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             wopt.seed = parseU64OrDie(arg, next());
             seed_given = true;
-        } else if (arg == "--store-tier") {
-            const std::string t = next();
-            if (t == "plain")
-                lim.store.tier = StoreTier::Plain;
-            else if (t == "delta")
-                lim.store.tier = StoreTier::Delta;
-            else
-                neo_fatal("--store-tier must be plain or delta");
-        } else if (arg == "--anchor-every") {
-            lim.store.anchorEvery =
-                static_cast<unsigned>(parseU64OrDie(arg, next()));
-            if (lim.store.anchorEvery == 0)
-                neo_fatal("--anchor-every needs a value >= 1");
         } else if (arg == "--checkpoint-dir") {
             ckpt.dir = next();
         } else if (arg == "--checkpoint-every") {
@@ -854,8 +835,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.guardEvalsSkipped),
                 static_cast<unsigned long long>(r.inPlaceFirings),
                 static_cast<unsigned long long>(r.canonIdentityHits));
-    if (lim.store.tier != StoreTier::Plain)
-        std::printf("  store tier: %s\n", storeTierName(lim.store.tier));
     if (r.degradedTrace)
         std::printf("  memory pressure shed predecessor links: counts "
                     "are exact, no counterexample trace\n");
