@@ -2,24 +2,21 @@
  * @file
  * Successor-generation throughput bench: states/s, bytes/state and
  * guard-evals/state on the german model at N in {4,5,6}, sequential
- * and at 4 worker threads, with the rule dependency index on and off
- * (`ExploreLimits::ruleIndex`). This is the perf-trajectory artifact
- * for the dependency-indexed firing path: CI uploads the JSON so
- * every PR leaves a comparable number behind.
+ * and at 4 worker threads. This is the perf-trajectory artifact for
+ * the candidate scan (RuleDepIndex): CI uploads the JSON so every PR
+ * leaves a comparable number behind.
  *
- * Every (model, threads) cell also asserts that the fixpoint —
- * status, states, transitions, per-rule fires, invariantChecks — is
- * bit-identical with the index on and off; a speedup that changes
- * the fixpoint is a bug, not a result. The process exits non-zero on
- * any mismatch so the CI job fails loudly.
+ * Every model also asserts that the 4-thread fixpoint — status,
+ * states, transitions, per-rule fires, invariantChecks — is
+ * bit-identical to the sequential one; a speedup that changes the
+ * fixpoint is a bug, not a result. The process exits non-zero on any
+ * mismatch so the CI job fails loudly.
  *
  * Timing discipline: the CI container is a single noisy CPU, so each
  * configuration runs `--reps` times (default 3) and the MINIMUM wall
  * time is reported — the minimum estimates the noise-free cost,
  * while counters (which are deterministic sequentially) come from
- * the first rep. A random-walk row (fixed seed/budget) is included
- * because the walker is pure guard-scan — no visited-set or intern
- * costs diluting the index's effect.
+ * the first rep.
  */
 
 #include <algorithm>
@@ -31,7 +28,6 @@
 #include "eval_common.hpp"
 #include "verif/explorer.hpp"
 #include "verif/models/german.hpp"
-#include "verif/random_walk.hpp"
 
 using namespace neo;
 using neo::verif::buildGermanModel;
@@ -48,22 +44,19 @@ struct Row
     VerifStatus status = VerifStatus::Verified;
     std::uint64_t guardEvals = 0;
     std::uint64_t guardEvalsSkipped = 0;
-    std::uint64_t inPlaceFirings = 0;
     std::uint64_t canonIdentityHits = 0;
     std::uint64_t memoryBytes = 0;
     double bestSeconds = 0.0;
 };
 
 Row
-runExplore(const TransitionSystem &ts, unsigned threads, bool index,
-           int reps)
+runExplore(const TransitionSystem &ts, unsigned threads, int reps)
 {
     Row row;
     for (int i = 0; i < reps; ++i) {
         ExploreLimits lim;
         lim.maxSeconds = 600.0;
         lim.threads = threads;
-        lim.ruleIndex = index;
         const ExploreResult r =
             explore(ts, lim, false, /*keep_trace=*/false);
         if (i == 0) {
@@ -74,7 +67,6 @@ runExplore(const TransitionSystem &ts, unsigned threads, bool index,
             row.status = r.status;
             row.guardEvals = r.guardEvals;
             row.guardEvalsSkipped = r.guardEvalsSkipped;
-            row.inPlaceFirings = r.inPlaceFirings;
             row.canonIdentityHits = r.canonIdentityHits;
             row.memoryBytes = r.memoryBytes;
             row.bestSeconds = r.seconds;
@@ -86,10 +78,8 @@ runExplore(const TransitionSystem &ts, unsigned threads, bool index,
 }
 
 /** Fixpoint comparison: everything that must not depend on the
- *  index. guardEvals is deliberately excluded (physical-evaluation
- *  count — differing on/off is the index working) and so is
- *  memoryBytes (identical stores, but the parallel explorer's
- *  accounting has allocator-order jitter). */
+ *  thread count. memoryBytes is excluded (identical stores, but the
+ *  parallel explorer's accounting has allocator-order jitter). */
 bool
 sameFixpoint(const Row &a, const Row &b)
 {
@@ -114,7 +104,6 @@ emitCounters(bench::JsonWriter &json, const Row &row)
     json.field("transitions", row.transitions);
     json.field("guardEvals", row.guardEvals);
     json.field("guardEvalsSkipped", row.guardEvalsSkipped);
-    json.field("inPlaceFirings", row.inPlaceFirings);
     json.field("canonIdentityHits", row.canonIdentityHits);
     json.field("memoryBytes", row.memoryBytes);
 }
@@ -134,8 +123,8 @@ main(int argc, char **argv)
             reps = std::max(1, std::atoi(argv[++i]));
     }
 
-    std::printf("==== explore throughput: dependency-indexed "
-                "successor generation ====\n\n");
+    std::printf("==== explore throughput: candidate-scan successor "
+                "generation ====\n\n");
 
     bench::JsonWriter json;
     json.beginObject();
@@ -149,115 +138,33 @@ main(int argc, char **argv)
     for (std::size_t n : sizes) {
         ModelShape shape;
         const TransitionSystem ts = buildGermanModel(n, shape);
+        Row seq;
         for (unsigned threads : threadAxis) {
-            const Row on = runExplore(ts, threads, true, reps);
-            const Row off = runExplore(ts, threads, false, reps);
-            const bool equal = sameFixpoint(on, off);
+            const Row row = runExplore(ts, threads, reps);
+            if (threads == 1)
+                seq = row;
+            const bool equal = sameFixpoint(row, seq);
             allOk = allOk && equal;
-
-            const double spdup =
-                on.bestSeconds > 0.0
-                    ? off.bestSeconds / on.bestSeconds
-                    : 0.0;
             std::printf(
-                "german n=%zu threads=%u: %llu states | "
-                "index on %.3fs (%.0f st/s, %.2f gevals/st) | "
-                "off %.3fs (%.0f st/s, %.2f gevals/st) | "
-                "on/off speedup %.2fx | fixpoint equal: %s\n",
+                "german n=%zu threads=%u: %llu states | %.3fs "
+                "(%.0f st/s, %.2f gevals/st) | fixpoint equal to "
+                "sequential: %s\n",
                 n, threads,
-                static_cast<unsigned long long>(on.states),
-                on.bestSeconds,
-                on.bestSeconds > 0.0
-                    ? double(on.states) / on.bestSeconds
+                static_cast<unsigned long long>(row.states),
+                row.bestSeconds,
+                row.bestSeconds > 0.0
+                    ? double(row.states) / row.bestSeconds
                     : 0.0,
-                double(on.guardEvals) / double(on.states),
-                off.bestSeconds,
-                off.bestSeconds > 0.0
-                    ? double(off.states) / off.bestSeconds
-                    : 0.0,
-                double(off.guardEvals) / double(off.states),
-                spdup, equal ? "yes" : "NO");
+                double(row.guardEvals) / double(row.states),
+                equal ? "yes" : "NO");
 
             json.beginObject();
             json.field("model", "german-n" + std::to_string(n));
             json.field("threads", std::uint64_t(threads));
             json.field("fixpointEqual", equal);
-            json.beginObject("indexOn");
-            emitCounters(json, on);
-            json.endObject();
-            json.beginObject("indexOff");
-            emitCounters(json, off);
-            json.endObject();
-            json.field("speedupOnOverOff", spdup);
+            emitCounters(json, row);
             json.endObject();
         }
-    }
-
-    // Walker row: pure guard-scan workload, the index's best case.
-    // Fixed (seed, walks, depth) so picks/verdicts are reproducible;
-    // on/off must agree on steps, dead ends and status.
-    {
-        ModelShape shape;
-        const TransitionSystem ts = buildGermanModel(6, shape);
-        WalkOptions wopt;
-        wopt.walks = 512;
-        wopt.depth = 4096;
-        wopt.seed = 7;
-        double onBest = 0.0, offBest = 0.0;
-        WalkResult on, off;
-        for (int i = 0; i < reps; ++i) {
-            wopt.ruleIndex = true;
-            WalkResult r = walkExplore(ts, wopt);
-            if (i == 0)
-                on = r;
-            onBest = i == 0 ? r.seconds
-                            : std::min(onBest, r.seconds);
-            wopt.ruleIndex = false;
-            r = walkExplore(ts, wopt);
-            if (i == 0)
-                off = r;
-            offBest = i == 0 ? r.seconds
-                             : std::min(offBest, r.seconds);
-        }
-        const bool equal = on.status == off.status &&
-                           on.stepsTaken == off.stepsTaken &&
-                           on.deadEnds == off.deadEnds &&
-                           on.walksRun == off.walksRun;
-        allOk = allOk && equal;
-        const double spdup = onBest > 0.0 ? offBest / onBest : 0.0;
-        std::printf(
-            "german n=6 walker (512x4096, seed 7): %llu steps | "
-            "index on %.3fs | off %.3fs | speedup %.2fx | "
-            "outcome equal: %s\n",
-            static_cast<unsigned long long>(on.stepsTaken), onBest,
-            offBest, spdup, equal ? "yes" : "NO");
-        json.beginObject();
-        json.field("model", "german-n6-walker");
-        json.field("walks", std::uint64_t(wopt.walks));
-        json.field("depth", std::uint64_t(wopt.depth));
-        json.field("outcomeEqual", equal);
-        json.beginObject("indexOn");
-        json.field("seconds", onBest);
-        json.field("steps", on.stepsTaken);
-        json.field("stepsPerSec",
-                   onBest > 0.0 ? double(on.stepsTaken) / onBest
-                                : 0.0);
-        json.field("guardEvals", on.guardEvals);
-        json.field("guardEvalsSkipped", on.guardEvalsSkipped);
-        json.field("canonIdentityHits", on.canonIdentityHits);
-        json.endObject();
-        json.beginObject("indexOff");
-        json.field("seconds", offBest);
-        json.field("steps", off.stepsTaken);
-        json.field("stepsPerSec",
-                   offBest > 0.0 ? double(off.stepsTaken) / offBest
-                                 : 0.0);
-        json.field("guardEvals", off.guardEvals);
-        json.field("guardEvalsSkipped", off.guardEvalsSkipped);
-        json.field("canonIdentityHits", off.canonIdentityHits);
-        json.endObject();
-        json.field("speedupOnOverOff", spdup);
-        json.endObject();
     }
 
     json.endArray();

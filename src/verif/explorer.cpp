@@ -67,22 +67,15 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     // sheds the predecessor links and clears it mid-run.
     bool tracing = keep_trace;
 
-    const auto &canon = ts.canonicalizer();
-    const auto &canonCheck = ts.canonicalCheck();
     const auto &rules = ts.rules();
-    const auto &invs = ts.invariants();
     // Flat guard/effect tables: term-form rules fire as contiguous
     // table scans, fallback rules through one raw function pointer —
     // either way no per-firing std::function dispatch.
     const CompiledRules comp(ts);
-    // Static read/write dependency index: which guards and invariants
-    // each rule's firing can affect. Drives the default fast path;
-    // --no-rule-index keeps the original batch loop below as the
-    // differential baseline.
-    const RuleDepIndex depIdx(ts);
-    const bool useIndex = limits.ruleIndex;
+    // Candidate table: only the rules whose guard key admits a state
+    // have their guards evaluated on it.
+    const RuleDepIndex index(ts);
     const std::size_t R = rules.size();
-    const std::size_t W = depIdx.ruleWords();
 
     const CheckpointConfig *ckpt = limits.checkpoint;
     const bool ckptActive = ckpt != nullptr && !ckpt->dir.empty();
@@ -111,34 +104,10 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
     if (const std::uint64_t hint = explorePresizeHint(limits))
         work.reserve(static_cast<std::size_t>(hint));
     auto frontierSize = [&]() { return work.size() - workHead; };
-    // Enabled-rule bitsets carried with the frontier (index path): W
-    // words per work item, mirrored through every push / consume /
-    // compact / rollback `work` sees. A cleared ok-byte (resumed
-    // items, the initial state) means "unknown — full scan".
-    std::vector<std::uint64_t> workBits;
-    std::vector<std::uint8_t> workBitsOk;
 
-    // Reusable successor scratch: one canonicalization buffer per
-    // worker instead of a fresh VState per rule firing.
+    // The state being expanded and its candidate bitset.
     VState cur;
-    // Index-path scratch: the popped item's enabled bits, a child's
-    // bits under construction, the fire-and-undo log, and the
-    // fallback fire/canonicalize buffers.
-    std::vector<std::uint64_t> curBits(W), childBits(W);
-    std::vector<std::uint32_t> firedRules;
-    std::vector<EffectUndo> undoLog(comp.maxEffectTerms());
-    std::size_t undoCount = 0;
-    VState fireBuf, canonBuf;
-    auto pushFrontierBits = [&](bool ok) {
-        if (!useIndex)
-            return;
-        if (ok)
-            workBits.insert(workBits.end(), childBits.begin(),
-                            childBits.end());
-        else
-            workBits.insert(workBits.end(), W, 0);
-        workBitsOk.push_back(ok ? 1 : 0);
-    };
+    std::vector<std::uint64_t> cand(index.ruleWords());
     // Batched firing scratch (shared shape with the parallel
     // workers): all enabled rules fire into these reusable slots
     // first, then one in-order process pass counts, interns and
@@ -158,9 +127,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             bytes += parentIds.size() * sizeof(std::uint32_t) +
                      parentRules.size() * sizeof(std::uint32_t);
         bytes += frontierSize() * sizeof(std::uint32_t);
-        if (useIndex)
-            bytes += frontierSize() *
-                     (W * sizeof(std::uint64_t) + 1);
         // Serializing a snapshot buffers the whole image once more;
         // the limit must cover that transient or the checkpoint that
         // is meant to save the run OOMs it instead.
@@ -267,9 +233,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
         auto onFrontier = [&](std::uint64_t id, std::uint32_t,
                               const std::uint8_t *) {
             work.push_back(static_cast<std::uint32_t>(id));
-            // Snapshots don't carry enabled bitsets; resumed items
-            // get a full guard scan at expansion time.
-            pushFrontierBits(false);
         };
         const bool okDecode = decodeExploreSnapshotStreamed(
             payload, ts.numVars(), rules.size(), meta, beginStates,
@@ -300,8 +263,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
 
     if (fresh) {
         VState init = ts.initialState();
-        if (canon)
-            canon(init);
+        ts.canonicalize(init);
         store.intern(init);
         if (tracing) {
             parentIds.push_back(0);
@@ -310,7 +272,6 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
         if (on_state)
             on_state(init);
         work.push_back(0);
-        pushFrontierBits(false);
 
         if (const char *inv = fail_invariants(init)) {
             result.status = VerifStatus::InvariantViolated;
@@ -374,257 +335,36 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             lastCkptSeconds = elapsed();
         }
         const std::uint32_t id = work[workHead];
-        // Copy the item's enabled bits out of the frontier arrays
-        // BEFORE consuming the slot: prefix compaction erases it, and
-        // child pushes reallocate the arrays mid-expansion.
-        bool curOk = false;
-        if (useIndex && workBitsOk[workHead] != 0) {
-            curOk = true;
-            std::copy_n(workBits.begin() +
-                            static_cast<std::ptrdiff_t>(workHead * W),
-                        W, curBits.begin());
-        }
         ++workHead;
         if (workHead >= 4096 && workHead * 2 >= work.size()) {
             work.erase(work.begin(),
                        work.begin() +
                            static_cast<std::ptrdiff_t>(workHead));
-            if (useIndex) {
-                workBits.erase(
-                    workBits.begin(),
-                    workBits.begin() +
-                        static_cast<std::ptrdiff_t>(workHead * W));
-                workBitsOk.erase(
-                    workBitsOk.begin(),
-                    workBitsOk.begin() +
-                        static_cast<std::ptrdiff_t>(workHead));
-            }
             workHead = 0;
         }
         store.copyTo(id, cur);
 
-        if (useIndex) {
-            // ---- Dependency-indexed expansion ----
-            if (!curOk) {
-                std::fill(curBits.begin(), curBits.end(), 0);
-                for (std::size_t q = 0; q < R; ++q) {
-                    if (comp.guard(q, cur))
-                        curBits[q >> 6] |= 1ULL << (q & 63);
-                }
-                result.guardEvals += R;
-            }
-            bool any_enabled = false;
-            std::size_t fired = 0;
-            firedRules.clear();
-            for (std::size_t wi = 0; wi < W; ++wi) {
-                std::uint64_t m = curBits[wi];
-                while (m != 0) {
-                    const std::size_t r =
-                        (wi << 6) + static_cast<std::size_t>(
-                                        __builtin_ctzll(m));
-                    m &= m - 1;
-                    any_enabled = true;
-                    if (store.size() >= limits.maxStates) {
-                        // The bound holds mid-expansion, exactly like
-                        // the batch loop below: un-count the partial
-                        // expansion's firings and put the item (with
-                        // its bits — cur is pristine, the previous
-                        // firing was undone) back at the head.
-                        result.transitionsFired -= fired;
-                        for (const std::uint32_t fr : firedRules)
-                            --result.ruleFires[fr];
-                        work.insert(
-                            work.begin() +
-                                static_cast<std::ptrdiff_t>(workHead),
-                            id);
-                        workBits.insert(
-                            workBits.begin() +
-                                static_cast<std::ptrdiff_t>(workHead *
-                                                            W),
-                            curBits.begin(), curBits.end());
-                        workBitsOk.insert(
-                            workBitsOk.begin() +
-                                static_cast<std::ptrdiff_t>(workHead),
-                            1);
-                        if (ckptActive)
-                            write_snapshot();
-                        result.status = VerifStatus::LimitExceeded;
-                        result.statesExplored = store.size();
-                        result.seconds = elapsed();
-                        result.memoryBytes = estimate_memory();
-                        return result;
-                    }
-                    ++result.transitionsFired;
-                    ++result.ruleFires[r];
-                    firedRules.push_back(
-                        static_cast<std::uint32_t>(r));
-                    ++fired;
-                    // Fire in place when the effect's write-set is
-                    // known; otherwise into a copy.
-                    const bool inPlace = comp.effectFlat(r);
-                    if (inPlace) {
-                        undoCount = comp.effectInPlace(
-                            r, cur, undoLog.data());
-                        ++result.inPlaceFirings;
-                    } else {
-                        fireBuf = cur;
-                        comp.effect(r, fireBuf);
-                    }
-                    VState &raw = inPlace ? cur : fireBuf;
-                    // Canonicalizer-identity gate: the bitset delta
-                    // (and the invariant skip) are only sound when
-                    // the successor IS its canonical representative.
-                    bool identical = true;
-                    VState *succ = &raw;
-                    if (canon) {
-                        if (canonCheck) {
-                            identical = canonCheck(raw);
-                            if (!identical) {
-                                canonBuf = raw;
-                                canon(canonBuf);
-                                succ = &canonBuf;
-                            }
-                        } else {
-                            canonBuf = raw;
-                            canon(canonBuf);
-                            identical = canonBuf == raw;
-                            if (!identical)
-                                succ = &canonBuf;
-                        }
-                        if (identical)
-                            ++result.canonIdentityHits;
-                    }
-                    const auto [nid, inserted] =
-                        store.intern(succ->data());
-                    if (inserted) {
-                        if (tracing) {
-                            parentIds.push_back(id);
-                            parentRules.push_back(
-                                static_cast<std::uint32_t>(r));
-                        }
-                        if (on_state)
-                            on_state(*succ);
-                        // Invariants the firing cannot have changed
-                        // (identity + known write-set) provably still
-                        // hold — the parent passed them — so skip the
-                        // predicate call but still count the logical
-                        // evaluation: invariantChecks stays bit-equal
-                        // to the no-index engine's, and a skipped
-                        // invariant can never be the first failure.
-                        const char *bad = nullptr;
-                        if (identical) {
-                            const std::uint64_t *aim =
-                                depIdx.affectedInvariants(r);
-                            for (std::size_t i = 0; i < invs.size();
-                                 ++i) {
-                                ++result.invariantChecks;
-                                if (((aim[i >> 6] >> (i & 63)) & 1) !=
-                                        0 &&
-                                    !invs[i].check(*succ)) {
-                                    bad = invs[i].name.c_str();
-                                    break;
-                                }
-                            }
-                        } else {
-                            bad = fail_invariants(*succ);
-                        }
-                        if (bad != nullptr) {
-                            result.status =
-                                VerifStatus::InvariantViolated;
-                            result.violatedInvariant = bad;
-                            result.badState = ts.describe(*succ);
-                            if (tracing)
-                                result.trace = build_trace(nid);
-                            result.statesExplored = store.size();
-                            result.seconds = elapsed();
-                            result.memoryBytes = estimate_memory();
-                            if (ckptActive)
-                                removeSnapshot(ckptPath);
-                            return result;
-                        }
-                        // Child bits: delta from the parent's when
-                        // the identity gate held, full scan when the
-                        // representative was permuted.
-                        const std::uint32_t nAff =
-                            depIdx.affectedRuleCount(r);
-                        if (identical && curOk) {
-                            std::copy(curBits.begin(), curBits.end(),
-                                      childBits.begin());
-                            const std::uint64_t *aff =
-                                depIdx.affectedRules(r);
-                            for (std::size_t awi = 0; awi < W;
-                                 ++awi) {
-                                std::uint64_t am = aff[awi];
-                                while (am != 0) {
-                                    const std::size_t q =
-                                        (awi << 6) +
-                                        static_cast<std::size_t>(
-                                            __builtin_ctzll(am));
-                                    am &= am - 1;
-                                    const std::uint64_t bit =
-                                        1ULL << (q & 63);
-                                    if (comp.guard(q, *succ))
-                                        childBits[q >> 6] |= bit;
-                                    else
-                                        childBits[q >> 6] &= ~bit;
-                                }
-                            }
-                            result.guardEvals += nAff;
-                            result.guardEvalsSkipped += R - nAff;
-                        } else {
-                            std::fill(childBits.begin(),
-                                      childBits.end(), 0);
-                            for (std::size_t q = 0; q < R; ++q) {
-                                if (comp.guard(q, *succ))
-                                    childBits[q >> 6] |= 1ULL
-                                                         << (q & 63);
-                            }
-                            result.guardEvals += R;
-                        }
-                        work.push_back(nid);
-                        pushFrontierBits(true);
-                    }
-                    if (inPlace)
-                        CompiledRules::undoEffect(cur, undoLog.data(),
-                                                  undoCount);
-                }
-            }
-            if (detect_deadlock && !any_enabled) {
-                result.status = VerifStatus::Deadlock;
-                result.badState = ts.describe(cur);
-                result.statesExplored = store.size();
-                result.seconds = elapsed();
-                result.memoryBytes = estimate_memory();
-                if (ckptActive)
-                    removeSnapshot(ckptPath);
-                return result;
-            }
-            continue;
-        }
-
-        // Generate phase (--no-rule-index): fire every enabled rule
-        // into the batch scratch (guard, effect, canonicalize — no
-        // bookkeeping). This is the pre-index engine, kept verbatim
-        // as the differential baseline.
-        bool any_enabled = false;
+        // Generate phase: fire every enabled rule into the batch
+        // scratch (guard, effect, canonicalize — no bookkeeping),
+        // evaluating only the guards of cur's candidates.
         std::size_t batchN = 0;
-        result.guardEvals += R;
-        for (std::size_t r = 0; r < rules.size(); ++r) {
-            if (!comp.guard(r, cur))
-                continue;
-            any_enabled = true;
-            if (batchBuf.size() <= batchN) {
-                batchBuf.emplace_back();
-                batchRule.push_back(0);
-            }
-            VState &next = batchBuf[batchN];
-            next = cur;
-            comp.effect(r, next);
-            if (canon)
-                canon(next);
-            batchRule[batchN] = static_cast<std::uint32_t>(r);
-            ++batchN;
-        }
+        const std::size_t evals = index.forEachEnabled(
+            comp, cur, cand.data(), [&](std::size_t r) {
+                if (batchBuf.size() <= batchN) {
+                    batchBuf.emplace_back();
+                    batchRule.push_back(0);
+                }
+                VState &next = batchBuf[batchN];
+                next = cur;
+                comp.effect(r, next);
+                if (ts.canonicalize(next))
+                    ++result.canonIdentityHits;
+                batchRule[batchN] = static_cast<std::uint32_t>(r);
+                ++batchN;
+                return true;
+            });
+        result.guardEvals += evals;
+        result.guardEvalsSkipped += R - evals;
 
         // Process phase, in rule order: count, intern, check.
         for (std::size_t k = 0; k < batchN; ++k) {
@@ -679,7 +419,7 @@ explore(const TransitionSystem &ts, const ExploreLimits &limits,
             work.push_back(nid);
         }
 
-        if (detect_deadlock && !any_enabled) {
+        if (detect_deadlock && batchN == 0) {
             result.status = VerifStatus::Deadlock;
             result.badState = ts.describe(cur);
             result.statesExplored = store.size();

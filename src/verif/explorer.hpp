@@ -54,15 +54,6 @@ struct ExploreLimits
      *  by both engines wherever they hash a state; nullptr uses
      *  stateHash(). */
     StateStore::HashFn hash = nullptr;
-    /** Dependency-indexed successor generation (transition_system.hpp
-     *  RuleDepIndex): carry the parent's enabled-rule bitset with
-     *  each frontier item, re-evaluate only guards whose read-set
-     *  intersects the fired rule's write-set (gated on canonicalizer
-     *  identity), skip invariants the firing cannot have changed, and
-     *  fire flat effects in place. Counts stay bit-identical either
-     *  way — `--no-rule-index` keeps this old path alive as the
-     *  differential baseline. */
-    bool ruleIndex = true;
 };
 
 /** Hash functor over state bytes, delegating to stateHash()
@@ -127,20 +118,14 @@ struct ExploreResult
     std::uint64_t checkpointsWritten = 0;
     /** Serialized size of the most recent snapshot, bytes. */
     std::uint64_t lastSnapshotBytes = 0;
-    /** Guard predicates actually evaluated (full scans + delta
-     *  re-evaluations). Unlike invariantChecks this counts PHYSICAL
-     *  evaluations, so index-on vs index-off runs differ — that gap
-     *  is the point (see guardEvalsSkipped). */
+    /** Guard predicates actually evaluated: the candidates of every
+     *  expanded state (RuleDepIndex). */
     std::uint64_t guardEvals = 0;
-    /** Guard evaluations the dependency index proved unnecessary
-     *  (bits copied from the parent instead of re-evaluated). */
+    /** Guards the candidate table ruled out: rules minus candidates,
+     *  summed over the expanded states. */
     std::uint64_t guardEvalsSkipped = 0;
-    /** Firings applied in place on the expansion scratch (flat
-     *  effect + undo log) instead of into a fresh state copy. */
-    std::uint64_t inPlaceFirings = 0;
-    /** Successors that were already their own canonical
-     *  representative, making the bitset delta sound (and, with a
-     *  CanonicalCheck, skipping the canonicalizer call outright). */
+    /** Canonicalizations the model's CanonicalCheck skipped because
+     *  the successor was already its own representative. */
     std::uint64_t canonIdentityHits = 0;
 };
 

@@ -89,8 +89,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
 
     // Canonical form: sort the leaf blocks lexicographically (leaves
     // are identical and interchangeable — Neo's symmetry). The exact
-    // sortedness predicate feeds the explorers' dependency-index
-    // identity gate (leaf_canon.hpp).
+    // sortedness predicate lets the explorers skip canonicalizing
+    // successors that are already sorted (leaf_canon.hpp).
     const std::size_t shared_count = shape.sharedVars;
     ts.setCanonicalizer(
         makeLeafSortCanonicalizer(shared_count, n, leafBlockVars),
@@ -115,7 +115,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
             [me](VState &s) {
                 s[me.c] = C_ISD;
                 s[me.rq] = RQ_GetS;
-            });
+            },
+            GuardKey(me.c, {C_I}));
 
         ts.addRule(
             "store_I_" + std::to_string(i), ActionKind::Internal,
@@ -125,7 +126,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
             [me](VState &s) {
                 s[me.c] = C_IMD;
                 s[me.rq] = RQ_GetM;
-            });
+            },
+            GuardKey(me.c, {C_I}));
 
         ts.addRule(
             "store_S_" + std::to_string(i), ActionKind::Internal,
@@ -135,13 +137,15 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
             [me](VState &s) {
                 s[me.c] = C_SMD;
                 s[me.rq] = RQ_GetM;
-            });
+            },
+            GuardKey(me.c, {C_S}));
 
         if (f.exclusiveState) {
             ts.addRule(
                 "store_E_" + std::to_string(i), ActionKind::Internal,
                 [me](const VState &s) { return s[me.c] == C_E; },
-                [me](VState &s) { s[me.c] = C_M; });
+                [me](VState &s) { s[me.c] = C_M; },
+                GuardKey(me.c, {C_E}));
         }
         if (f.ownedState) {
             ts.addRule(
@@ -152,7 +156,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 [me](VState &s) {
                     s[me.c] = C_OMD;
                     s[me.rq] = RQ_GetM;
-                });
+                },
+                GuardKey(me.c, {C_O}));
         }
 
         if (f.inclusiveEvictions) {
@@ -181,7 +186,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                     [me, ec](VState &s) {
                         s[me.c] = ec.to;
                         s[me.rq] = ec.put;
-                    });
+                    },
+                    GuardKey(me.c, {ec.from}));
             }
         }
 
@@ -240,7 +246,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                     break;
                 }
                 s[me.ak] = dirty ? AK_InvAckD : AK_InvAck;
-            });
+            },
+            GuardKey(me.fw, {FW_Inv}));
 
         // Fwd_GetS: supply the target sibling.
         for (std::size_t j = 0; j < n; ++j) {
@@ -286,7 +293,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                       default:
                         break; // O / OIA stay owners
                     }
-                });
+                },
+                GuardKey(me.fw, {FW_FwdGetS}));
 
             ts.addRule(
                 "recv_fwdM_" + std::to_string(i) + "_to_" +
@@ -322,7 +330,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                         s[me.c] = C_IIA;
                         break;
                     }
-                });
+                },
+                GuardKey(me.fw, {FW_FwdGetM}));
         }
 
         if (f.inclusiveEvictions) {
@@ -346,7 +355,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 [me](VState &s) {
                     s[me.fw] = FW_None;
                     s[me.c] = C_I;
-                });
+                },
+                GuardKey(me.fw, {FW_PutAck}));
         }
 
         ts.addRule(
@@ -359,7 +369,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 s[me.rs] = RS_None;
                 s[me.c] = C_S;
                 s[me.ak] = AK_Unblock;
-            });
+            },
+            GuardKey(me.rs, {RS_DataS}));
 
         if (f.exclusiveState) {
             ts.addRule(
@@ -372,7 +383,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                     s[me.rs] = RS_None;
                     s[me.c] = C_E;
                     s[me.ak] = AK_Unblock;
-                });
+                },
+                GuardKey(me.rs, {RS_DataE}));
         }
 
         ts.addRule(
@@ -386,7 +398,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 s[me.rs] = RS_None;
                 s[me.c] = C_M;
                 s[me.ak] = AK_UnblockD;
-            });
+            },
+            GuardKey(me.rs, {RS_DataM}));
     }
 
     // ---- directory rules ----
@@ -431,7 +444,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                         s[me.rs] = RS_DataS;
                     }
                 }
-            });
+            },
+            GuardKey(me.rq, {RQ_GetS}));
 
         // GetM: invalidate other sharers, route data, grant after acks.
         ts.addRule(
@@ -483,7 +497,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 s[me.sh] = 1;
                 s[me.ow] = 1;
                 s[hasData] = 0;
-            });
+            },
+            GuardKey(me.rq, {RQ_GetM}));
 
         // Completion: the requester's Unblock retires the transaction
         // (all invalidation acks must already be in).
@@ -502,7 +517,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 s[busy] = DB_Idle;
                 if (owner_of(s) < 0)
                     s[hasData] = 1;
-            });
+            },
+            GuardKey(me.ak, {AK_Unblock, AK_UnblockD}));
 
         ts.addRule(
             "d_invack_" + std::to_string(i), ActionKind::Internal,
@@ -514,7 +530,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
             [me, acks](VState &s) {
                 s[me.ak] = AK_None;
                 --s[acks];
-            });
+            },
+            GuardKey(me.ak, {AK_InvAck, AK_InvAckD}));
 
         if (f.inclusiveEvictions) {
             ts.addRule(
@@ -538,7 +555,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                     if (owner_put)
                         s[hasData] = 1;
                     s[me.fw] = FW_PutAck;
-                });
+                },
+                GuardKey(me.rq, {RQ_PutS, RQ_PutE, RQ_PutM, RQ_PutO}));
         }
     }
 
@@ -564,7 +582,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 }
             }
             s[fwdPend] = 0;
-        });
+        },
+        GuardKey(busy, {DB_Write}));
 
     // Grant-after-acks for writes served from the root's copy.
     ts.addRule(
@@ -585,7 +604,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                 }
             }
             s[grantPend] = 0;
-        });
+        },
+        GuardKey(busy, {DB_Write}));
 
     // Inclusive recall: the root evicts the block, pulling every copy
     // home first (models directory eviction pressure).
@@ -615,7 +635,8 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
                         ++s[acks];
                     }
                 }
-            });
+            },
+            GuardKey(busy, {DB_Idle}));
 
         ts.addRule(
             "d_recall_done", ActionKind::Internal,
@@ -625,67 +646,41 @@ buildClosedModel(std::size_t n, const VerifFeatures &features,
             [busy, hasData](VState &s) {
                 s[busy] = DB_Idle;
                 s[hasData] = 1;
-            });
+            },
+            GuardKey(busy, {DB_Recall}));
     }
 
     // ---- Neo safety: the closed system's summary must never be bad.
     // Root Permission is M by construction, so safety reduces to the
     // leaves' pairwise MOESI compatibility (§2.4 requirement 2).
-    // The declared read-set (each leaf's cache state, nothing else)
-    // lets the dependency index skip re-checking after firings that
-    // only move channel or directory bookkeeping.
-    {
-        std::vector<std::uint16_t> rd;
-        for (std::size_t i = 0; i < n; ++i)
-            rd.push_back(static_cast<std::uint16_t>(L[i].c));
-        ts.addInvariant(
-            "NeoSafety_leafCompat",
-            [L, n](const VState &s) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const Perm pi = cacheStPerm(s[L[i].c]);
-                    for (std::size_t j = i + 1; j < n; ++j) {
-                        if (!permCompatible(
-                                pi, cacheStPerm(s[L[j].c])))
-                            return false;
-                    }
-                }
-                return true;
-            },
-            std::move(rd));
-    }
+    ts.addInvariant("NeoSafety_leafCompat", [L, n](const VState &s) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Perm pi = cacheStPerm(s[L[i].c]);
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (!permCompatible(pi, cacheStPerm(s[L[j].c])))
+                    return false;
+            }
+        }
+        return true;
+    });
 
     // Directory bookkeeping soundness: a leaf holding any permission
-    // must be tracked (metadata inclusion). Reads each leaf's cache
-    // state, tracking bits and forward channel.
-    {
-        std::vector<std::uint16_t> rd;
+    // must be tracked (metadata inclusion).
+    ts.addInvariant("DirTracksHolders", [L, n](const VState &s) {
         for (std::size_t i = 0; i < n; ++i) {
-            rd.push_back(static_cast<std::uint16_t>(L[i].c));
-            rd.push_back(static_cast<std::uint16_t>(L[i].sh));
-            rd.push_back(static_cast<std::uint16_t>(L[i].ow));
-            rd.push_back(static_cast<std::uint16_t>(L[i].rqst));
-            rd.push_back(static_cast<std::uint16_t>(L[i].fw));
+            const Perm pi = cacheStPerm(s[L[i].c]);
+            if (pi != Perm::I && !s[L[i].sh] && !s[L[i].ow] &&
+                !s[L[i].rqst] && s[L[i].fw] == FW_None) {
+                // Mid-Put states and leaves with a demand in flight
+                // are legitimately untracked.
+                const auto c = s[L[i].c];
+                if (c != C_SIA && c != C_EIA && c != C_MIA &&
+                    c != C_OIA)
+                    return false;
+            }
         }
-        ts.addInvariant(
-            "DirTracksHolders",
-            [L, n](const VState &s) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const Perm pi = cacheStPerm(s[L[i].c]);
-                    if (pi != Perm::I && !s[L[i].sh] &&
-                        !s[L[i].ow] && !s[L[i].rqst] &&
-                        s[L[i].fw] == FW_None) {
-                        // Mid-Put states and leaves with a demand in
-                        // flight are legitimately untracked.
-                        const auto c = s[L[i].c];
-                        if (c != C_SIA && c != C_EIA &&
-                            c != C_MIA && c != C_OIA)
-                            return false;
-                    }
-                }
-                return true;
-            },
-            std::move(rd));
-    }
+        return true;
+    });
 
     ts.setSummarizer([L, n](const VState &s) {
         std::vector<Perm> sums;

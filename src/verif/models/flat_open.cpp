@@ -297,6 +297,9 @@ specEffect(const Ctx &cx, SpecBehavior b, VState &s)
 /**
  * Wraps rule registration with the composition machinery: Modified
  * embeds the matched spec transition; Original alternates turns.
+ * Every rule names its guard key, a necessary conjunct of its Omega
+ * guard; the composed guards only strengthen it, so the key holds
+ * under every method.
  */
 class OpenBuilder
 {
@@ -306,13 +309,13 @@ class OpenBuilder
     void
     add(const std::string &name, ActionKind kind,
         TransitionSystem::Guard guard, TransitionSystem::Effect effect,
-        SpecBehavior match)
+        SpecBehavior match, GuardKey key)
     {
         const Ctx &cx = cx_;
         switch (cx_.method) {
           case CompositionMethod::None:
-            ts_.addRule(name, kind, std::move(guard),
-                        std::move(effect));
+            ts_.addRule(name, kind, std::move(guard), std::move(effect),
+                        key);
             break;
           case CompositionMethod::Modified:
             // §4.1.3: the Omega transition body performs the Omega
@@ -326,7 +329,8 @@ class OpenBuilder
                     if (could)
                         specEffect(cx, match, s);
                     s[cx.lcf] = could ? 1 : 0;
-                });
+                },
+                key);
             break;
           case CompositionMethod::Original:
             // §4.1.1: strictly alternate Omega / leaf transitions;
@@ -340,7 +344,8 @@ class OpenBuilder
                     effect(s);
                     s[cx.turn] = 1;
                     s[cx.lastMatch] = match;
-                });
+                },
+                key);
             break;
         }
     }
@@ -365,7 +370,7 @@ class OpenBuilder
                 [cx, behavior](VState &s) {
                     specEffect(cx, behavior, s);
                     s[cx.turn] = 0;
-                });
+                }, GuardKey(cx.lastMatch, {behavior}));
         }
     }
 
@@ -457,7 +462,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.c] = C_ISD;
                   s[me.rq] = RQ_GetS;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.c, {C_I}));
 
         B.add("store_I_" + std::to_string(i), ActionKind::Internal,
               [me](const VState &s) {
@@ -467,7 +472,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.c] = C_IMD;
                   s[me.rq] = RQ_GetM;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.c, {C_I}));
 
         B.add("store_S_" + std::to_string(i), ActionKind::Internal,
               [me](const VState &s) {
@@ -477,12 +482,13 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.c] = C_SMD;
                   s[me.rq] = RQ_GetM;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.c, {C_S}));
 
         if (f.exclusiveState) {
             B.add("store_E_" + std::to_string(i), ActionKind::Internal,
                   [me](const VState &s) { return s[me.c] == C_E; },
-                  [me](VState &s) { s[me.c] = C_M; }, SB_Stutter);
+                  [me](VState &s) { s[me.c] = C_M; }, SB_Stutter,
+                  GuardKey(me.c, {C_E}));
         }
         if (f.ownedState) {
             B.add("store_O_" + std::to_string(i), ActionKind::Internal,
@@ -493,7 +499,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[me.c] = C_OMD;
                       s[me.rq] = RQ_GetM;
                   },
-                  SB_Stutter);
+                  SB_Stutter, GuardKey(me.c, {C_O}));
         }
 
         if (f.inclusiveEvictions) {
@@ -523,7 +529,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                           s[me.c] = ec.to;
                           s[me.rq] = ec.put;
                       },
-                      SB_Stutter);
+                      SB_Stutter, GuardKey(me.c, {ec.from}));
             }
         }
 
@@ -581,7 +587,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   }
                   s[me.ak] = dirty ? AK_InvAckD : AK_InvAck;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.fw, {FW_Inv}));
 
         // Sibling-to-sibling data forwards (internal).
         for (std::size_t j = 0; j < n; ++j) {
@@ -627,7 +633,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                           break;
                       }
                   },
-                  SB_Stutter);
+                  SB_Stutter, GuardKey(me.fw, {FW_FwdGetS}));
 
             B.add("recv_fwdM_" + std::to_string(i) + "_to_" +
                       std::to_string(j),
@@ -663,7 +669,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                           break;
                       }
                   },
-                  SB_Stutter);
+                  SB_Stutter, GuardKey(me.fw, {FW_FwdGetM}));
         }
 
         // Owner answers an external demand by sending the data UP to
@@ -716,7 +722,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       break;
                   }
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.fw, {FW_FwdGetS}));
 
         B.add("recv_fwdM_up_" + std::to_string(i),
               ActionKind::Internal,
@@ -763,7 +769,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       break;
                   }
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.fw, {FW_FwdGetM}));
 
         if (f.inclusiveEvictions) {
             B.add("recv_putack_" + std::to_string(i),
@@ -786,7 +792,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[me.fw] = FW_None;
                       s[me.c] = C_I;
                   },
-                  SB_Stutter);
+                  SB_Stutter, GuardKey(me.fw, {FW_PutAck}));
         }
 
         B.add("recv_dataS_" + std::to_string(i), ActionKind::Internal,
@@ -799,7 +805,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.c] = C_S;
                   s[me.ak] = AK_Unblock;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.rs, {RS_DataS}));
 
         if (f.exclusiveState) {
             B.add("recv_dataE_" + std::to_string(i),
@@ -813,7 +819,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[me.c] = C_E;
                       s[me.ak] = AK_Unblock;
                   },
-                  SB_Stutter);
+                  SB_Stutter, GuardKey(me.rs, {RS_DataE}));
         }
 
         B.add("recv_dataM_" + std::to_string(i), ActionKind::Internal,
@@ -827,7 +833,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.c] = C_M;
                   s[me.ak] = AK_UnblockD;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.rs, {RS_DataM}));
     }
 
     // ================= directory rules ===============
@@ -889,7 +895,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       }
                   }
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.rq, {RQ_GetS}));
 
         // --- read relay: Permission insufficient (output GetS).
         B.add("d_getS_fetch_" + std::to_string(i), ActionKind::Output,
@@ -907,7 +913,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.relayUp] = 1;
                   s[cx.pOut] = RQ_GetS;
               },
-              SB_OutGetS);
+              SB_OutGetS, GuardKey(me.rq, {RQ_GetS}));
 
         // --- local write: E/M Permission. Split by the pre-state
         // Permission so the matched leaf transition is static: from E
@@ -962,7 +968,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[cx.dirPerm] =
                           static_cast<std::uint8_t>(Perm::M);
                   },
-                  from == Perm::E ? SB_SilentEM : SB_Stutter);
+                  from == Perm::E ? SB_SilentEM : SB_Stutter,
+                  GuardKey(me.rq, {RQ_GetM}));
         }
 
         // --- write relay: Permission I/S/O (output GetM).
@@ -982,7 +989,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.relayUp] = 1;
                   s[cx.pOut] = RQ_GetM;
               },
-              SB_OutGetM);
+              SB_OutGetM, GuardKey(me.rq, {RQ_GetM}));
 
         // --- completion of local transactions.
         B.add("d_unblock_" + std::to_string(i), ActionKind::Internal,
@@ -1003,7 +1010,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   if (cx.ownerOf(s) < 0)
                       s[cx.hasData] = 1;
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.ak, {AK_Unblock, AK_UnblockD}));
 
         // --- completion of relayed transactions (output Unblock).
         B.add("d_unblock_up_" + std::to_string(i), ActionKind::Output,
@@ -1026,7 +1033,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   if (cx.ownerOf(s) < 0)
                       s[cx.hasData] = 1;
               },
-              SB_OutUnblock);
+              SB_OutUnblock, GuardKey(me.ak, {AK_Unblock, AK_UnblockD}));
 
         B.add("d_invack_" + std::to_string(i), ActionKind::Internal,
               [me, cx](const VState &s) {
@@ -1042,7 +1049,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[me.ak] = AK_None;
                   --s[cx.acks];
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(me.ak, {AK_InvAck, AK_InvAckD}));
 
         if (f.inclusiveEvictions) {
             B.add("d_put_" + std::to_string(i), ActionKind::Internal,
@@ -1070,7 +1077,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[me.ow] = 0;
                       s[me.fw] = FW_PutAck;
                   },
-                  SB_Stutter);
+                  SB_Stutter,
+                  GuardKey(me.rq, {RQ_PutS, RQ_PutE, RQ_PutM, RQ_PutO}));
         }
     }
 
@@ -1098,7 +1106,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               }
               s[cx.fwdPend] = 0;
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.busy, {DB_Write, DB_FetchW}));
 
     // --- grant-after-acks for local writes.
     B.add("d_grantM", ActionKind::Internal,
@@ -1115,7 +1123,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.L[r].rs] = RS_DataM;
               s[cx.grantPend] = 0;
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.busy, {DB_Write, DB_FetchW}));
 
     // ================= parent environment (input actions) ==========
 
@@ -1134,7 +1142,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.pOut] = RQ_None;
               s[cx.pData] = RS_DataS;
           },
-          SB_InDataS);
+          SB_InDataS, GuardKey(cx.pOut, {RQ_GetS}));
 
     if (f.exclusiveState) {
         B.add("env_grant_E", ActionKind::Input,
@@ -1145,7 +1153,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.pOut] = RQ_None;
                   s[cx.pData] = RS_DataE;
               },
-              SB_InDataE);
+              SB_InDataE, GuardKey(cx.pOut, {RQ_GetS}));
     }
 
     B.add("env_grant_M", ActionKind::Input,
@@ -1156,7 +1164,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.pOut] = RQ_None;
               s[cx.pData] = RS_DataM;
           },
-          SB_InDataM);
+          SB_InDataM, GuardKey(cx.pOut, {RQ_GetM}));
 
     // The parent is blocking: it has at most one demand outstanding
     // against this subtree (pIn slot + no demand mid-service), and
@@ -1188,7 +1196,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               return parent_may_demand(s) &&
                      parent_view(s) != Perm::I;
           },
-          [cx](VState &s) { s[cx.pIn] = FW_Inv; }, SB_InInv);
+          [cx](VState &s) { s[cx.pIn] = FW_Inv; }, SB_InInv,
+          GuardKey(cx.pIn, {FW_None}));
 
     B.add("env_fwdS", ActionKind::Input,
           [cx, parent_may_demand, parent_view](const VState &s) {
@@ -1196,7 +1205,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               return parent_may_demand(s) &&
                      (dp == Perm::E || dp == Perm::M || dp == Perm::O);
           },
-          [cx](VState &s) { s[cx.pIn] = FW_FwdGetS; }, SB_InFwdS);
+          [cx](VState &s) { s[cx.pIn] = FW_FwdGetS; }, SB_InFwdS,
+          GuardKey(cx.pIn, {FW_None}));
 
     B.add("env_fwdM", ActionKind::Input,
           [cx, parent_may_demand, parent_view](const VState &s) {
@@ -1204,7 +1214,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               return parent_may_demand(s) &&
                      (dp == Perm::E || dp == Perm::M || dp == Perm::O);
           },
-          [cx](VState &s) { s[cx.pIn] = FW_FwdGetM; }, SB_InFwdM);
+          [cx](VState &s) { s[cx.pIn] = FW_FwdGetM; }, SB_InFwdM,
+          GuardKey(cx.pIn, {FW_None}));
 
     if (f.inclusiveEvictions) {
         B.add("env_putack", ActionKind::Input,
@@ -1219,7 +1230,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.pOut] = RQ_None;
                   s[cx.pIn] = FW_PutAck;
               },
-              SB_InPutAck);
+              SB_InPutAck,
+              GuardKey(cx.pOut, {RQ_PutS, RQ_PutE, RQ_PutM, RQ_PutO}));
     }
 
     // ================= parent-facing directory rules ===============
@@ -1240,7 +1252,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.L[r].rs] = RS_DataS;
               s[cx.L[r].sh] = 1;
           },
-          SB_PopDataS);
+          SB_PopDataS, GuardKey(cx.pData, {RS_DataS}));
 
     if (f.exclusiveState) {
         B.add("d_pdata_E", ActionKind::Internal,
@@ -1260,7 +1272,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.L[r].sh] = 1;
                   s[cx.L[r].ow] = 1;
               },
-              SB_PopDataE);
+              SB_PopDataE, GuardKey(cx.pData, {RS_DataE}));
     }
 
     // --- grant arrives for a relayed write: run the local phase.
@@ -1305,7 +1317,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.L[r].ow] = 1;
               s[cx.hasData] = 0;
           },
-          SB_PopDataM);
+          SB_PopDataM, GuardKey(cx.pData, {RS_DataM}));
 
     // --- parent Inv while idle: recursive invalidation.
     B.add("d_inv_idle", ActionKind::Internal,
@@ -1325,7 +1337,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   }
               }
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.pIn, {FW_Inv}));
 
     // --- InvAck up once the subtree is clean (output InvAck).
     B.add("d_extinv_done", ActionKind::Output,
@@ -1338,7 +1350,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.hasData] = 0;
               s[cx.dirDirty] = 0;
           },
-          SB_OutInvAck);
+          SB_OutInvAck, GuardKey(cx.busy, {DB_ExtInv}));
 
     // --- parent Inv during a fetch: must not wait (deadlock).
     B.add("d_inv_during_fetch", ActionKind::Internal,
@@ -1360,7 +1372,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   }
               }
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.pIn, {FW_Inv}));
 
     B.add("d_subinv_done", ActionKind::Output,
           [cx](const VState &s) {
@@ -1372,7 +1384,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.hasData] = 0;
               s[cx.dirDirty] = 0;
           },
-          SB_OutInvAck);
+          SB_OutInvAck, GuardKey(cx.subInv, {1}));
 
     // --- parent Fwd_GetS: gather the data, then reply externally.
     B.add("d_fwdS_start", ActionKind::Internal,
@@ -1398,7 +1410,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.extData] = 1;
               }
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.pIn, {FW_FwdGetS}));
 
     B.add("d_extread_done", ActionKind::Output,
           [cx](const VState &s) {
@@ -1415,7 +1427,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.dirDirty] = 0; // dirtiness passed across
               }
           },
-          f.nonSiblingFwd ? SB_NoMatch : SB_OutDataSExt);
+          f.nonSiblingFwd ? SB_NoMatch : SB_OutDataSExt,
+          GuardKey(cx.busy, {DB_ExtRead}));
 
     // --- parent Fwd_GetM: invalidate, gather, reply externally.
     B.add("d_fwdM_start", ActionKind::Internal,
@@ -1450,7 +1463,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.extData] = 1;
               }
           },
-          SB_Stutter);
+          SB_Stutter, GuardKey(cx.pIn, {FW_FwdGetM}));
 
     B.add("d_extwrite_done", ActionKind::Output,
           [cx](const VState &s) {
@@ -1464,7 +1477,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
               s[cx.hasData] = 0;
               s[cx.dirDirty] = 0;
           },
-          f.nonSiblingFwd ? SB_NoMatch : SB_OutDataMExt);
+          f.nonSiblingFwd ? SB_NoMatch : SB_OutDataMExt,
+          GuardKey(cx.busy, {DB_ExtWrite}));
 
     // --- directory eviction (inclusive): recall, write back, drop.
     if (f.inclusiveEvictions) {
@@ -1488,7 +1502,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       }
                   }
               },
-              SB_Stutter);
+              SB_Stutter, GuardKey(cx.busy, {DB_Idle}));
 
         struct PutCase
         {
@@ -1526,7 +1540,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       s[cx.dirPerm] =
                           static_cast<std::uint8_t>(Perm::I);
                   },
-                  pc.match);
+                  pc.match, GuardKey(cx.busy, {DB_Recall}));
         }
 
         B.add("d_evict_ack", ActionKind::Internal,
@@ -1541,7 +1555,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.hasData] = 0;
                   s[cx.dirDirty] = 0;
               },
-              SB_PopPutAck);
+              SB_PopPutAck, GuardKey(cx.pIn, {FW_PutAck}));
 
         // Races against the in-flight writeback (the EvictWB cases);
         // `evicting` carries the parent's stale view of our
@@ -1557,7 +1571,7 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                       1 + static_cast<std::uint8_t>(Perm::I);
                   s[cx.dirDirty] = 0;
               },
-              SB_OutInvAck);
+              SB_OutInvAck, GuardKey(cx.pIn, {FW_Inv}));
 
         B.add("d_evictwb_fwdS", ActionKind::Output,
               [cx](const VState &s) {
@@ -1569,7 +1583,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.evicting] =
                       1 + static_cast<std::uint8_t>(Perm::S);
               },
-              f.nonSiblingFwd ? SB_NoMatch : SB_OutDataSExt);
+              f.nonSiblingFwd ? SB_NoMatch : SB_OutDataSExt,
+              GuardKey(cx.pIn, {FW_FwdGetS}));
 
         B.add("d_evictwb_fwdM", ActionKind::Output,
               [cx](const VState &s) {
@@ -1581,7 +1596,8 @@ buildOpenModel(std::size_t n, const VerifFeatures &features,
                   s[cx.evicting] =
                       1 + static_cast<std::uint8_t>(Perm::I);
               },
-              f.nonSiblingFwd ? SB_NoMatch : SB_OutDataMExt);
+              f.nonSiblingFwd ? SB_NoMatch : SB_OutDataMExt,
+              GuardKey(cx.pIn, {FW_FwdGetM}));
     }
 
     B.finalize();

@@ -72,7 +72,8 @@ buildGermanModel(std::size_t n, ModelShape &shape)
     // Rules are declared in flat term form (transition_system.hpp)
     // wherever the condition is a pure conjunction and the effect a
     // plain assignment sequence, so the engines' CompiledRules tables
-    // fire them without std::function dispatch. Only sendInv keeps a
+    // fire them without std::function dispatch, and each derives its
+    // guard key from its most selective term. Only sendInv keeps a
     // lambda guard: its condition is a genuine disjunction.
     using GOp = GuardTerm::Op;
     auto v16 = [](std::size_t x) {
@@ -133,7 +134,8 @@ buildGermanModel(std::size_t n, ModelShape &shape)
         }
 
         // Home sends invalidates to sharers when needed. The guard is
-        // a disjunction, so it stays a lambda; the effect is flat.
+        // a disjunction, so it stays a lambda, keyed on its
+        // invalidate-set conjunct; the effect is flat.
         ts.addRule(
             "sendInv_" + std::to_string(i), ActionKind::Internal,
             TransitionSystem::Guard(
@@ -143,14 +145,8 @@ buildGermanModel(std::size_t n, ModelShape &shape)
                     return s[curCmd] == GR_ReqE ||
                            (s[curCmd] == GR_ReqS && s[exGntd] == 1);
                 }),
-            {eset(me.ch2, GG_Inv), eset(me.invSet, 0)});
-        // The lambda guard reads exactly these four variables; the
-        // declaration keeps sendInv out of the dependency index's
-        // conservative everything-set (overrideGuard clears it, so
-        // mutants that rewrite sendInv stay conservative).
-        ts.declareGuardReads("sendInv_" + std::to_string(i),
-                             {v16(me.ch2), v16(me.invSet),
-                              v16(curCmd), v16(exGntd)});
+            {eset(me.ch2, GG_Inv), eset(me.invSet, 0)},
+            GuardKey(gne(me.invSet, 0)));
 
         // Client acknowledges the invalidate.
         ts.addRule("recvInv_" + std::to_string(i),
@@ -197,29 +193,18 @@ buildGermanModel(std::size_t n, ModelShape &shape)
                    {eset(me.ch2, GG_None), eset(me.st, G_E)});
     }
 
-    // The canonical German control property. The declared read-set
-    // (every client's st — nothing else) lets the dependency index
-    // skip re-checking it after firings that only touch channels or
-    // directory bookkeeping.
-    {
-        std::vector<std::uint16_t> stVars;
-        for (std::size_t i = 0; i < n; ++i)
-            stVars.push_back(v16(L[i].st));
-        ts.addInvariant(
-            "CtrlProp",
-            [L, n](const VState &s) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    for (std::size_t j = 0; j < n; ++j) {
-                        if (i == j)
-                            continue;
-                        if (s[L[i].st] == G_E && s[L[j].st] != G_I)
-                            return false;
-                    }
-                }
-                return true;
-            },
-            std::move(stVars));
-    }
+    // The canonical German control property.
+    ts.addInvariant("CtrlProp", [L, n](const VState &s) {
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                if (i == j)
+                    continue;
+                if (s[L[i].st] == G_E && s[L[j].st] != G_I)
+                    return false;
+            }
+        }
+        return true;
+    });
 
     ts.setSummarizer([L, n](const VState &s) {
         std::vector<Perm> sums;

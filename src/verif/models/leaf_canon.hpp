@@ -9,8 +9,8 @@
  * header is the one implementation — alloc-free, because the
  * canonicalizer runs once per rule firing and a heap allocation there
  * used to dominate the explorers' hot path — plus the matching exact
- * CanonicalCheck the engines' dependency-index identity gate calls
- * even more often.
+ * CanonicalCheck with which the engines skip the canonicalizer on
+ * successors that are already sorted.
  */
 
 #ifndef NEO_VERIF_MODELS_LEAF_CANON_HPP

@@ -59,13 +59,6 @@ struct WorkItem
 {
     std::uint64_t id = 0;
     std::uint32_t depth = 0;
-    /** The state's enabled-rule bitset, carried inline (4 words =
-     *  256 rules; systems with more rules skip the dependency index
-     *  rather than heap-allocating per frontier item). Valid only
-     *  when bitsOk — a successor whose canonicalization permuted the
-     *  state, a resumed item, or the seed all full-scan instead. */
-    std::array<std::uint64_t, 4> bits{};
-    std::uint8_t bitsOk = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<WorkItem>);
@@ -100,23 +93,15 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
 
     ExploreResult result;
     const auto &rules = ts.rules();
-    const auto &canon = ts.canonicalizer();
     const auto &invs = ts.invariants();
     // Flat guard/effect tables (transition_system.hpp): rule firing
     // below goes through this instead of the per-rule std::function
     // objects, eliminating virtual dispatch on the hot path. Built
-    // once here, shared read-only by every worker.
+    // once here, shared read-only by every worker, like the
+    // candidate table that picks the guards worth evaluating.
     const CompiledRules comp(ts);
-    // Read/write dependency index: frontier items carry their
-    // enabled-rule bitset so a worker re-evaluates only the guards
-    // the parent's firing could have changed (sound only on
-    // canonicalizer-identity successors; see WorkItem::bits for the
-    // 256-rule inline-storage gate).
-    const auto &canonCheck = ts.canonicalCheck();
-    const RuleDepIndex depIdx(ts);
+    const RuleDepIndex index(ts);
     const std::size_t R = rules.size();
-    const bool useIndex = limits.ruleIndex && R <= 256;
-    const std::size_t W = depIdx.ruleWords();
 
     const CheckpointConfig *ckpt = limits.checkpoint;
     const bool ckptActive = ckpt != nullptr && !ckpt->dir.empty();
@@ -150,6 +135,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         queueFixedBytes += kQueueSlackBytes + q.memoryBytes();
 
     std::atomic<std::uint64_t> statesTotal{0};
+    // Firing and invariant counters: each worker counts in locals and
+    // flushes them here before every checkpoint snapshot and at exit.
     std::atomic<std::uint64_t> transitionsTotal{0};
     std::atomic<std::uint64_t> invChecksTotal{0};
     std::atomic<std::uint64_t> guardEvalsTotal{0};
@@ -220,31 +207,16 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                structural;
     };
 
-    // With @p affInv (a row from depIdx.affectedInvariants) the sweep
-    // physically evaluates only the invariants the parent's firing
-    // could have changed — sound because the parent passed every
-    // invariant (bad states are never expanded) and an identity
-    // successor leaves the others' reads untouched. Skipped
-    // invariants still count toward invChecksTotal: the counter means
-    // LOGICAL evaluations, so it stays bit-identical to the
-    // no-index run (and to the sequential engine's golden fixtures).
-    auto failing_invariant =
-        [&](const VState &s, const std::uint64_t *affInv = nullptr)
-        -> int {
-        std::uint64_t n = 0;
-        int bad = -1;
+    // Index of the first invariant @p s violates, or -1; adds the
+    // predicate evaluations to @p checks.
+    auto failing_invariant = [&](const VState &s,
+                                 std::uint64_t &checks) -> int {
         for (std::size_t i = 0; i < invs.size(); ++i) {
-            ++n;
-            if (affInv != nullptr &&
-                (affInv[i >> 6] & (1ULL << (i & 63))) == 0)
-                continue;
-            if (!invs[i].check(s)) {
-                bad = static_cast<int>(i);
-                break;
-            }
+            ++checks;
+            if (!invs[i].check(s))
+                return static_cast<int>(i);
         }
-        invChecksTotal.fetch_add(n, std::memory_order_relaxed);
-        return bad;
+        return -1;
     };
 
     auto report_violation = [&](int inv, const VState &s,
@@ -443,8 +415,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         // sequential explorer's pre-loop block, including the early
         // violation exit).
         VState init = ts.initialState();
-        if (canon)
-            canon(init);
+        ts.canonicalize(init);
         std::uint64_t initId;
         {
             const std::uint64_t h = hashState(init.data());
@@ -460,15 +431,17 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         statesTotal.store(1, std::memory_order_relaxed);
         if (on_state)
             on_state(init);
-        if (const int inv = failing_invariant(init); inv >= 0) {
+        std::uint64_t initChecks = 0;
+        const int inv = failing_invariant(init, initChecks);
+        invChecksTotal.store(initChecks, std::memory_order_relaxed);
+        if (inv >= 0) {
             result.ruleFires.assign(rules.size(), 0);
             result.status = VerifStatus::InvariantViolated;
             result.violatedInvariant =
                 invs[static_cast<std::size_t>(inv)].name;
             result.badState = ts.describe(init);
             result.statesExplored = 1;
-            result.invariantChecks =
-                invChecksTotal.load(std::memory_order_relaxed);
+            result.invariantChecks = initChecks;
             result.seconds = elapsed();
             return result;
         }
@@ -525,7 +498,9 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
 
     // Decide/execute a checkpoint rendezvous; runs on worker 0 at the
     // top of its loop, i.e. while it holds no work item itself.
-    auto coordinate = [&]() {
+    // @p flushOwn publishes worker 0's own local counters; the others
+    // flush theirs before they park.
+    auto coordinate = [&](auto &&flushOwn) {
         const bool wantInterrupt = interruptRequested();
         const bool wantPeriodic =
             ckpt->everySeconds > 0.0 &&
@@ -550,6 +525,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             std::this_thread::yield();
         }
 
+        flushOwn();
         write_snapshot();
         lastCkptSeconds = elapsed();
         if (memBound)
@@ -592,28 +568,47 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         // the successors by owning shard and interns each group under
         // ONE lock acquisition instead of one per successor.
         VState cur;
+        std::vector<std::uint64_t> cand(index.ruleWords());
         std::vector<VState> batchBuf;
         std::vector<std::uint32_t> batchRule;
         std::vector<std::uint64_t> batchHash;
-        std::vector<std::uint8_t> batchIdent; // canon-identity flags
         std::vector<std::uint32_t> order; // batch indices, shard-sorted
         std::vector<std::pair<std::uint32_t, bool>> ids;
         std::vector<WorkItem> pushList;
-        // Index-path scratch: the popped item's bitset and the
-        // pre-canonicalization probe buffer, plus worker-local
-        // counters flushed to the atomics once at exit.
-        std::array<std::uint64_t, 4> curBits{};
-        VState preBuf;
+        // Worker-local counters: a shared read-modify-write per firing
+        // would bounce one cache line between every worker.
+        std::uint64_t transitionsL = 0;
+        std::uint64_t invChecksL = 0;
+        std::vector<std::uint64_t> ruleFiresL(R, 0);
         std::uint64_t guardEvalsL = 0;
         std::uint64_t guardSkippedL = 0;
         std::uint64_t identityHitsL = 0;
+        // Publish the counters. Runs before this worker parks at a
+        // rendezvous (worker 0: before it encodes the snapshot) and
+        // when it exits.
+        auto flushCounters = [&]() {
+            auto publish = [](std::atomic<std::uint64_t> &to,
+                              std::uint64_t &from) {
+                if (from != 0)
+                    to.fetch_add(from, std::memory_order_relaxed);
+                from = 0;
+            };
+            publish(transitionsTotal, transitionsL);
+            publish(invChecksTotal, invChecksL);
+            for (std::size_t r = 0; r < R; ++r)
+                publish(ruleFires[r], ruleFiresL[r]);
+            publish(guardEvalsTotal, guardEvalsL);
+            publish(guardSkippedTotal, guardSkippedL);
+            publish(identityHitsTotal, identityHitsL);
+        };
         for (;;) {
             if (stop.load(std::memory_order_relaxed))
                 break;
             if (wid == 0 && ckptActive)
-                coordinate();
+                coordinate(flushCounters);
             if (pauseRequested.load(std::memory_order_acquire) &&
                 wid != 0) {
+                flushCounters();
                 pausedCount.fetch_add(1, std::memory_order_acq_rel);
                 while (pauseRequested.load(
                            std::memory_order_acquire) &&
@@ -653,96 +648,37 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 static_cast<std::uint32_t>(item.id & 0xffffffffULL),
                 cur);
 
-            // GENERATE: fire every enabled rule into the batch. With
-            // the index, a valid parent bitset replaces the full
-            // guard scan (set bits fire in ascending rule order, the
-            // same order as the scan); otherwise the scan rebuilds
-            // the bitset as it goes.
-            bool any_enabled = false;
+            // GENERATE: fire every enabled rule into the batch, in
+            // ascending rule order, evaluating only the guards of
+            // cur's candidates.
             bool stopped = false;
             std::size_t batchN = 0;
-            bool curBitsOk = useIndex && item.bitsOk != 0;
-            if (curBitsOk)
-                curBits = item.bits;
-            auto fire = [&](std::size_t r) {
-                if (batchN == batchBuf.size()) {
-                    batchBuf.emplace_back();
-                    batchRule.push_back(0);
-                    batchHash.push_back(0);
-                    batchIdent.push_back(0);
-                }
-                VState &nx = batchBuf[batchN];
-                nx = cur;
-                comp.effect(r, nx);
-                // Canonicalizer-identity gate (see the sequential
-                // engine): the child-bitset delta and the invariant
-                // skip are only sound when nx IS its canonical
-                // representative. The model's CanonicalCheck decides
-                // cheaply; without one, canonicalize a copy and
-                // compare.
-                bool identical = true;
-                if (canon) {
-                    if (!useIndex) {
-                        canon(nx);
-                    } else if (canonCheck) {
-                        identical = canonCheck(nx);
-                        if (identical)
-                            ++identityHitsL;
-                        else
-                            canon(nx);
-                    } else {
-                        preBuf = nx;
-                        canon(nx);
-                        identical = nx == preBuf;
-                        if (identical)
-                            ++identityHitsL;
-                    }
-                }
-                batchIdent[batchN] = identical ? 1 : 0;
-                batchRule[batchN] = static_cast<std::uint32_t>(r);
-                batchHash[batchN] = hashState(nx.data());
-                transitionsTotal.fetch_add(1,
-                                           std::memory_order_relaxed);
-                ruleFires[r].fetch_add(1, std::memory_order_relaxed);
-                ++batchN;
-            };
-            if (curBitsOk) {
-                for (std::size_t word = 0;
-                     word < W && !stopped; ++word) {
-                    std::uint64_t m = curBits[word];
-                    while (m != 0) {
-                        if (stop.load(std::memory_order_relaxed)) {
-                            stopped = true;
-                            break;
-                        }
-                        const int b = __builtin_ctzll(m);
-                        m &= m - 1;
-                        any_enabled = true;
-                        fire(word * 64 +
-                             static_cast<std::size_t>(b));
-                    }
-                }
-            } else {
-                if (useIndex)
-                    curBits.fill(0);
-                guardEvalsL += R;
-                for (std::size_t r = 0; r < R; ++r) {
+            const std::size_t evals = index.forEachEnabled(
+                comp, cur, cand.data(), [&](std::size_t r) {
                     if (stop.load(std::memory_order_relaxed)) {
                         stopped = true;
-                        break;
+                        return false;
                     }
-                    if (!comp.guard(r, cur))
-                        continue;
-                    any_enabled = true;
-                    if (useIndex)
-                        curBits[r >> 6] |= 1ULL << (r & 63);
-                    fire(r);
-                }
-                // A scan cut short by stop leaves the bitset
-                // incomplete; children pushed below must rescan.
-                curBitsOk = useIndex && !stopped;
-            }
-            if (detect_deadlock && !any_enabled && !stopped)
+                    if (batchN == batchBuf.size()) {
+                        batchBuf.emplace_back();
+                        batchRule.push_back(0);
+                        batchHash.push_back(0);
+                    }
+                    VState &nx = batchBuf[batchN];
+                    nx = cur;
+                    comp.effect(r, nx);
+                    if (ts.canonicalize(nx))
+                        ++identityHitsL;
+                    batchRule[batchN] = static_cast<std::uint32_t>(r);
+                    batchHash[batchN] = hashState(nx.data());
+                    ++transitionsL;
+                    ++ruleFiresL[r];
+                    ++batchN;
+                    return true;
+                });
+            guardEvalsL += evals;
+            guardSkippedL += R - evals;
+            if (detect_deadlock && batchN == 0 && !stopped)
                 report_deadlock(cur);
 
             // PROCESS: shard-group the successors (stable sort keeps
@@ -890,49 +826,13 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                         std::lock_guard<std::mutex> g(cbMu);
                         on_state(nx);
                     }
-                    const bool ident =
-                        useIndex && batchIdent[bi] != 0;
-                    if (const int inv = failing_invariant(
-                            nx, ident ? depIdx.affectedInvariants(
-                                            batchRule[bi])
-                                      : nullptr);
+                    if (const int inv = failing_invariant(nx, invChecksL);
                         inv >= 0) {
                         report_violation(inv, nx, nid,
                                          item.depth + 1);
                         continue; // bad states are not expanded
                     }
-                    WorkItem w{nid, item.depth + 1};
-                    if (ident && curBitsOk) {
-                        // Identity successor with a valid parent
-                        // bitset: copy it and re-evaluate only the
-                        // guards the fired rule's writes can reach.
-                        w.bits = curBits;
-                        const std::uint64_t *aff =
-                            depIdx.affectedRules(batchRule[bi]);
-                        std::uint64_t nAff = 0;
-                        for (std::size_t word = 0; word < W;
-                             ++word) {
-                            std::uint64_t m = aff[word];
-                            while (m != 0) {
-                                const int b = __builtin_ctzll(m);
-                                m &= m - 1;
-                                const std::size_t q =
-                                    word * 64 +
-                                    static_cast<std::size_t>(b);
-                                const std::uint64_t mask =
-                                    1ULL << (q & 63);
-                                if (comp.guard(q, nx))
-                                    w.bits[q >> 6] |= mask;
-                                else
-                                    w.bits[q >> 6] &= ~mask;
-                                ++nAff;
-                            }
-                        }
-                        guardEvalsL += nAff;
-                        guardSkippedL += R - nAff;
-                        w.bitsOk = 1;
-                    }
-                    pushList.push_back(w);
+                    pushList.push_back(WorkItem{nid, item.depth + 1});
                 }
                 gi = ge;
             }
@@ -954,12 +854,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             }
             inFlight.fetch_sub(1, std::memory_order_release);
         }
-        guardEvalsTotal.fetch_add(guardEvalsL,
-                                  std::memory_order_relaxed);
-        guardSkippedTotal.fetch_add(guardSkippedL,
-                                    std::memory_order_relaxed);
-        identityHitsTotal.fetch_add(identityHitsL,
-                                    std::memory_order_relaxed);
+        flushCounters();
         alive.fetch_sub(1, std::memory_order_acq_rel);
     };
 
@@ -996,9 +891,6 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         guardSkippedTotal.load(std::memory_order_relaxed);
     result.canonIdentityHits =
         identityHitsTotal.load(std::memory_order_relaxed);
-    // Parallel workers keep the batch-copy fire path (the shard-
-    // grouped intern reads every successor's bytes after the whole
-    // batch is generated), so inPlaceFirings stays 0 here.
     std::uint64_t visited = 0;
     for (const Shard &s : shards)
         visited += s.store->size();

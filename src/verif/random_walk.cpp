@@ -72,19 +72,13 @@ RandomWalkExplorer::run() const
     WalkResult result;
     const auto &rules = ts_.rules();
     const auto &invs = ts_.invariants();
-    const auto &canon = ts_.canonicalizer();
-    const auto &canonCheck = ts_.canonicalCheck();
-    // Flat guard/effect tables for the walk loop (replayTrace stays
-    // on rules[] — it is not hot). Built before the workers spawn;
-    // immutable, so shared read-only across them.
+    // Flat guard/effect tables and the candidate table for the walk
+    // loop (replayTrace stays on rules[] — it is not hot). Built
+    // before the workers spawn; immutable, so shared read-only across
+    // them.
     const CompiledRules comp(ts_);
-    // Read/write dependency index (transition_system.hpp): lets a walk
-    // keep its enabled-rule bitset across steps instead of rescanning
-    // all R guards per step. Shared read-only across workers.
-    const RuleDepIndex depIdx(ts_);
-    const bool useIndex = opt_.ruleIndex;
+    const RuleDepIndex index(ts_);
     const std::size_t R = rules.size();
-    const std::size_t W = depIdx.ruleWords();
 
     const CheckpointConfig *ckpt = opt_.checkpoint;
     const bool ckptActive = ckpt != nullptr && !ckpt->dir.empty();
@@ -102,8 +96,7 @@ RandomWalkExplorer::run() const
     };
 
     VState init = ts_.initialState();
-    if (canon)
-        canon(init);
+    ts_.canonicalize(init);
 
     // The initial state itself may already violate (degenerate mutant).
     for (const auto &inv : invs) {
@@ -145,7 +138,7 @@ RandomWalkExplorer::run() const
     std::uint64_t stepsTotal = 0;
     std::uint64_t walksRunN = 0;
     std::uint64_t deadEndsN = 0;
-    // Rule-index counters; deliberately NOT checkpointed (the snapshot
+    // Guard-scan counters; deliberately NOT checkpointed (the snapshot
     // format predates them and they are diagnostics, not verdicts — a
     // resumed run reports the counters of the walks IT ran).
     std::uint64_t guardEvalsN = 0;
@@ -278,49 +271,23 @@ RandomWalkExplorer::run() const
         fired.reserve(static_cast<std::size_t>(opt_.depth));
         std::vector<std::uint32_t> enabled;
         enabled.reserve(rules.size());
-        // Enabled-rule bitset carried across steps; valid only while
-        // every firing since the last full scan was a canonicalizer
-        // identity (a permuted representative invalidates it).
-        std::vector<std::uint64_t> bits(W, 0);
-        bool bitsOk = false;
-        VState canonBuf;
+        std::vector<std::uint64_t> cand(index.ruleWords());
 
         for (std::uint64_t step = 0; step < opt_.depth; ++step) {
             if (ckptActive && (step & 0xfff) == 0 &&
                 interruptRequested())
                 return WalkOutcome::Abandoned;
+            // Candidates come in ascending rule order, the order of a
+            // full scan, so rng.below() sees the same enabled list
+            // and the determinism contract holds.
             enabled.clear();
-            if (!useIndex) {
-                cnt.guardEvals += R;
-                for (std::size_t r = 0; r < R; ++r) {
-                    if (comp.guard(r, s))
-                        enabled.push_back(
-                            static_cast<std::uint32_t>(r));
-                }
-            } else {
-                if (!bitsOk) {
-                    cnt.guardEvals += R;
-                    std::fill(bits.begin(), bits.end(), 0);
-                    for (std::size_t r = 0; r < R; ++r) {
-                        if (comp.guard(r, s))
-                            bits[r >> 6] |= 1ULL << (r & 63);
-                    }
-                    bitsOk = true;
-                }
-                // Ascending set-bit order == the old linear scan, so
-                // rng.below() sees the identical enabled list and the
-                // determinism contract (same picks, same trace) holds
-                // index-on and index-off.
-                for (std::size_t word = 0; word < W; ++word) {
-                    std::uint64_t m = bits[word];
-                    while (m != 0) {
-                        const int b = __builtin_ctzll(m);
-                        m &= m - 1;
-                        enabled.push_back(static_cast<std::uint32_t>(
-                            word * 64 + static_cast<std::size_t>(b)));
-                    }
-                }
-            }
+            const std::size_t evals = index.forEachEnabled(
+                comp, s, cand.data(), [&](std::size_t r) {
+                    enabled.push_back(static_cast<std::uint32_t>(r));
+                    return true;
+                });
+            cnt.guardEvals += evals;
+            cnt.guardEvalsSkipped += R - evals;
             if (enabled.empty()) {
                 steps = step;
                 return WalkOutcome::DeadEnd;
@@ -328,74 +295,15 @@ RandomWalkExplorer::run() const
             const std::uint32_t pick = enabled[static_cast<std::size_t>(
                 rng.below(enabled.size()))];
             comp.effect(pick, s);
-            // identical == canon(s) is a no-op, which makes the bitset
-            // delta below sound. Without a canonicalizer every step
-            // trivially qualifies (but is not counted as a "hit").
-            bool identical = true;
-            if (canon) {
-                if (!useIndex) {
-                    canon(s);
-                } else if (canonCheck) {
-                    identical = canonCheck(s);
-                    if (identical)
-                        ++cnt.canonIdentityHits;
-                    else
-                        canon(s);
-                } else {
-                    canonBuf = s;
-                    canon(s);
-                    identical = s == canonBuf;
-                    if (identical)
-                        ++cnt.canonIdentityHits;
-                }
-            }
+            if (ts_.canonicalize(s))
+                ++cnt.canonIdentityHits;
             fired.push_back(pick);
-            // Invariant sweep. On an identity step only the invariants
-            // whose read-set the fired rule wrote can have changed; the
-            // rest still hold from the previous step, so the first
-            // FAILING invariant index — the one recorded — is the same
-            // either way.
-            const bool invDelta = useIndex && identical;
-            const std::uint64_t *affInv =
-                invDelta ? depIdx.affectedInvariants(pick) : nullptr;
             for (std::size_t i = 0; i < invs.size(); ++i) {
-                if (invDelta &&
-                    (affInv[i >> 6] & (1ULL << (i & 63))) == 0)
-                    continue;
                 if (!invs[i].check(s)) {
                     steps = step + 1;
                     vio = WalkViolation{w, i, std::move(fired),
                                         std::move(s)};
                     return WalkOutcome::Violated;
-                }
-            }
-            if (useIndex) {
-                if (identical) {
-                    // Re-evaluate only the guards the firing could
-                    // have invalidated or enabled.
-                    const std::uint64_t *aff =
-                        depIdx.affectedRules(pick);
-                    std::uint64_t n = 0;
-                    for (std::size_t word = 0; word < W; ++word) {
-                        std::uint64_t m = aff[word];
-                        while (m != 0) {
-                            const int b = __builtin_ctzll(m);
-                            m &= m - 1;
-                            const std::size_t q =
-                                word * 64 + static_cast<std::size_t>(b);
-                            const std::uint64_t mask = 1ULL
-                                                       << (q & 63);
-                            if (comp.guard(q, s))
-                                bits[q >> 6] |= mask;
-                            else
-                                bits[q >> 6] &= ~mask;
-                            ++n;
-                        }
-                    }
-                    cnt.guardEvals += n;
-                    cnt.guardEvalsSkipped += R - n;
-                } else {
-                    bitsOk = false;
                 }
             }
         }

@@ -50,14 +50,6 @@ struct WalkOptions
      *  per-walk RNG streams are pure functions of (seed, index), which
      *  makes the resumed totals identical to an uninterrupted run. */
     const CheckpointConfig *checkpoint = nullptr;
-    /** Dependency-indexed stepping (transition_system.hpp
-     *  RuleDepIndex): keep the enabled-rule bitset across steps and
-     *  re-evaluate only guards the fired rule could have changed,
-     *  falling back to a full rescan whenever canonicalization
-     *  actually permuted the state. Picks, traces and verdicts are
-     *  bit-identical either way (`--no-rule-index` is the
-     *  differential baseline). */
-    bool ruleIndex = true;
 };
 
 struct WalkResult
@@ -92,9 +84,10 @@ struct WalkResult
     std::uint64_t lastSnapshotBytes = 0;
     /** Guard predicates physically evaluated (see ExploreResult). */
     std::uint64_t guardEvals = 0;
-    /** Guard evaluations the dependency index skipped. */
+    /** Guards the candidate table ruled out (see ExploreResult). */
     std::uint64_t guardEvalsSkipped = 0;
-    /** Steps whose post-effect state was already canonical. */
+    /** Steps whose post-effect state the CanonicalCheck found
+     *  already canonical. */
     std::uint64_t canonIdentityHits = 0;
 };
 

@@ -115,6 +115,9 @@ struct WorkerRt
     const WorkerConfig *cfg = nullptr;
     const TransitionSystem *ts = nullptr;
     const CompiledRules *rules = nullptr;
+    const RuleDepIndex *index = nullptr;
+    /** Candidate bitset scratch for expandOne. */
+    std::vector<std::uint64_t> cand;
     std::size_t numVars = 0;
     std::uint64_t fingerprint = 0;
 
@@ -559,31 +562,26 @@ expandOne(WorkerRt &rt, VState &cur, VState &succ)
     rt.queue.pop_front();
     std::memcpy(cur.data(), rt.store->at(id), rt.numVars);
     const CompiledRules &rules = *rt.rules;
-    const auto &canon = rt.ts->canonicalizer();
     const unsigned W = rt.cfg->count;
-    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
-        if (!rules.guard(ri, cur))
-            continue;
+    auto fire = [&](std::size_t ri) {
         ++rt.transitions;
         succ = cur;
         rules.effect(ri, succ);
-        if (canon)
-            canon(succ);
+        rt.ts->canonicalize(succ);
         const std::uint64_t h = stateHash(succ.data(), rt.numVars);
         const unsigned owner = static_cast<unsigned>(h % W);
         if (owner == rt.cfg->index) {
             acceptOwn(rt, succ.data(), h);
-            if (rt.violated)
-                return;
-        } else {
-            auto &b = rt.batch[owner];
-            b.insert(b.end(), succ.data(),
-                     succ.data() + rt.numVars);
-            ++rt.sentTotal;
-            if (++rt.batchCount[owner] >= kStateBatch)
-                flushBatch(rt, owner);
+            return !rt.violated;
         }
-    }
+        auto &b = rt.batch[owner];
+        b.insert(b.end(), succ.data(), succ.data() + rt.numVars);
+        ++rt.sentTotal;
+        if (++rt.batchCount[owner] >= kStateBatch)
+            flushBatch(rt, owner);
+        return true;
+    };
+    rt.index->forEachEnabled(rules, cur, rt.cand.data(), fire);
 }
 
 } // namespace
@@ -603,11 +601,14 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
         ::_exit(kWorkerExitSetupFailed);
     }
     const CompiledRules rules(ts);
+    const RuleDepIndex index(ts);
 
     WorkerRt rt;
     rt.cfg = &cfg;
     rt.ts = &ts;
     rt.rules = &rules;
+    rt.index = &index;
+    rt.cand.assign(index.ruleWords(), 0);
     rt.numVars = ts.numVars();
     rt.fingerprint = modelFingerprint(ts);
     rt.scratch.assign(rt.numVars, 0);

@@ -11,22 +11,12 @@ namespace
 
 /** Synthesized function forms of flat terms — the single semantic
  *  definition both the lambdas-by-synthesis and CompiledRules' table
- *  scan share (CompiledRules inlines the identical switch). */
+ *  scan share (GuardTerm::holds). */
 bool
 evalGuardTerms(const std::vector<GuardTerm> &terms, const VState &s)
 {
     for (const GuardTerm &t : terms) {
-        const std::uint8_t v = s[t.var];
-        bool ok = false;
-        switch (t.op) {
-          case GuardTerm::Op::Eq: ok = v == t.imm; break;
-          case GuardTerm::Op::Ne: ok = v != t.imm; break;
-          case GuardTerm::Op::Lt: ok = v < t.imm; break;
-          case GuardTerm::Op::Le: ok = v <= t.imm; break;
-          case GuardTerm::Op::Gt: ok = v > t.imm; break;
-          case GuardTerm::Op::Ge: ok = v >= t.imm; break;
-        }
-        if (!ok)
+        if (!t.holds(s[t.var]))
             return false;
     }
     return true;
@@ -41,6 +31,30 @@ applyEffectTerms(const std::vector<EffectTerm> &terms, VState &s)
 
 } // namespace
 
+GuardKey::GuardKey(std::size_t v, std::initializer_list<std::uint8_t> vals)
+    : keyed(true), var(static_cast<std::uint16_t>(v))
+{
+    for (const std::uint8_t x : vals)
+        values[x >> 6] |= 1ULL << (x & 63);
+}
+
+GuardKey::GuardKey(const GuardTerm &t) : keyed(true), var(t.var)
+{
+    for (unsigned x = 0; x < 256; ++x) {
+        if (t.holds(static_cast<std::uint8_t>(x)))
+            values[x >> 6] |= 1ULL << (x & 63);
+    }
+}
+
+int
+GuardKey::count() const
+{
+    int n = 0;
+    for (const std::uint64_t w : values)
+        n += __builtin_popcountll(w);
+    return n;
+}
+
 void
 TransitionSystem::addRule(std::string name, ActionKind kind,
                           std::vector<GuardTerm> guard,
@@ -53,6 +67,11 @@ TransitionSystem::addRule(std::string name, ActionKind kind,
     r.effectTerms = std::move(effect);
     r.guardFlat = true;
     r.effectFlat = true;
+    for (const GuardTerm &t : r.guardTerms) {
+        const GuardKey k(t);
+        if (!r.key.keyed || k.count() < r.key.count())
+            r.key = k;
+    }
     r.guard = [terms = r.guardTerms](const VState &s) {
         return evalGuardTerms(terms, s);
     };
@@ -64,59 +83,20 @@ TransitionSystem::addRule(std::string name, ActionKind kind,
 
 void
 TransitionSystem::addRule(std::string name, ActionKind kind,
-                          Guard guard, std::vector<EffectTerm> effect)
+                          Guard guard, std::vector<EffectTerm> effect,
+                          GuardKey key)
 {
     Rule r;
     r.name = std::move(name);
     r.kind = kind;
     r.guard = std::move(guard);
+    r.key = key;
     r.effectTerms = std::move(effect);
     r.effectFlat = true;
     r.effect = [terms = r.effectTerms](VState &s) {
         applyEffectTerms(terms, s);
     };
     rules_.push_back(std::move(r));
-}
-
-void
-TransitionSystem::addInvariant(std::string name,
-                               std::vector<GuardTerm> terms)
-{
-    Invariant inv;
-    inv.name = std::move(name);
-    inv.terms = std::move(terms);
-    inv.flat = true;
-    inv.check = [terms = inv.terms](const VState &s) {
-        return evalGuardTerms(terms, s);
-    };
-    inv.reads.reserve(inv.terms.size());
-    for (const GuardTerm &t : inv.terms)
-        inv.reads.push_back(t.var);
-    inv.readsDeclared = true;
-    invariants_.push_back(std::move(inv));
-}
-
-void
-TransitionSystem::addInvariant(std::string name, Check check,
-                               std::vector<std::uint16_t> reads)
-{
-    Invariant inv;
-    inv.name = std::move(name);
-    inv.check = std::move(check);
-    inv.reads = std::move(reads);
-    inv.readsDeclared = true;
-    invariants_.push_back(std::move(inv));
-}
-
-void
-TransitionSystem::declareGuardReads(const std::string &ruleName,
-                                    std::vector<std::uint16_t> vars)
-{
-    Rule *r = findRule(ruleName);
-    if (r == nullptr)
-        neo_fatal("declareGuardReads: no such rule: ", ruleName);
-    r->guardReads = std::move(vars);
-    r->guardReadsDeclared = true;
 }
 
 CompiledRules::CompiledRules(const TransitionSystem &ts)
@@ -140,8 +120,6 @@ CompiledRules::CompiledRules(const TransitionSystem &ts)
             eterms_.insert(eterms_.end(), r.effectTerms.begin(),
                            r.effectTerms.end());
             e.eEnd = static_cast<std::uint32_t>(eterms_.size());
-            maxEffectTerms_ =
-                std::max(maxEffectTerms_, r.effectTerms.size());
         } else {
             e.effectFn = &r.effect;
         }
@@ -149,132 +127,59 @@ CompiledRules::CompiledRules(const TransitionSystem &ts)
     }
 }
 
-namespace
-{
-
-/** Set-all helper with the tail word masked to @p n valid bits, so
- *  iterating a conservative row never yields an out-of-range index. */
-void
-setAllBits(std::uint64_t *row, std::size_t words, std::size_t n)
-{
-    for (std::size_t w = 0; w < words; ++w)
-        row[w] = ~0ULL;
-    if (n % 64 != 0 && words != 0)
-        row[words - 1] = (1ULL << (n % 64)) - 1;
-    if (n == 0)
-        row[0] = 0;
-}
-
-bool
-bitsIntersect(const std::uint64_t *a, const std::uint64_t *b,
-              std::size_t words)
-{
-    for (std::size_t w = 0; w < words; ++w) {
-        if ((a[w] & b[w]) != 0)
-            return true;
-    }
-    return false;
-}
-
-} // namespace
-
 RuleDepIndex::RuleDepIndex(const TransitionSystem &ts)
 {
     const auto &rules = ts.rules();
-    const auto &invs = ts.invariants();
     nRules_ = rules.size();
-    nInvs_ = invs.size();
-    // At least one word per row, so affected*() pointers stay valid
-    // even for rule- or invariant-free systems.
-    ruleWords_ = nRules_ == 0 ? 1 : (nRules_ + 63) / 64;
-    invWords_ = nInvs_ == 0 ? 1 : (nInvs_ + 63) / 64;
-    const std::size_t nVars = ts.numVars();
-    const std::size_t varWords = nVars == 0 ? 1 : (nVars + 63) / 64;
-    auto setVar = [&](std::vector<std::uint64_t> &m, std::size_t row,
-                      std::size_t var) {
-        m[row * varWords + (var >> 6)] |= 1ULL << (var & 63);
-    };
+    words_ = nRules_ == 0 ? 1 : (nRules_ + 63) / 64;
+    always_.assign(words_, 0);
 
-    // Pass 1: per-rule read/write variable sets, per-invariant read
-    // sets, with "unknown" flags for the fallback forms.
-    std::vector<std::uint64_t> reads(nRules_ * varWords, 0);
-    std::vector<std::uint64_t> writes(nRules_ * varWords, 0);
-    std::vector<std::uint64_t> invReads(nInvs_ * varWords, 0);
-    readUnknown_.assign(nRules_, 0);
-    writeUnknown_.assign(nRules_, 0);
-    std::vector<std::uint8_t> invUnknown(nInvs_, 0);
+    // Pass 1: size each keyed variable's rows to one past the largest
+    // value a key on it admits.
+    std::vector<std::uint16_t> rowsOf(ts.numVars(), 0);
     for (std::size_t r = 0; r < nRules_; ++r) {
-        const auto &rule = rules[r];
-        if (rule.guardFlat) {
-            for (const GuardTerm &t : rule.guardTerms)
-                setVar(reads, r, t.var);
-        } else if (rule.guardReadsDeclared) {
-            for (const std::uint16_t v : rule.guardReads)
-                setVar(reads, r, v);
-        } else {
-            readUnknown_[r] = 1;
+        const GuardKey &k = rules[r].key;
+        if (!k.keyed) {
+            always_[r >> 6] |= 1ULL << (r & 63);
+            continue;
         }
-        if (rule.effectFlat) {
-            // CopyVar READS src, but effect reads never invalidate a
-            // guard — only the written (dst) variables matter here.
-            for (const EffectTerm &t : rule.effectTerms)
-                setVar(writes, r, t.dst);
-        } else {
-            writeUnknown_[r] = 1;
-        }
-    }
-    for (std::size_t i = 0; i < nInvs_; ++i) {
-        if (invs[i].readsDeclared) {
-            for (const std::uint16_t v : invs[i].reads)
-                setVar(invReads, i, v);
-        } else {
-            invUnknown[i] = 1;
-        }
-    }
-
-    // Pass 2: invert into per-rule affected-rule / affected-invariant
-    // bitsets. O(R^2 * varWords) at build time, paid once per run.
-    affRules_.assign(nRules_ * ruleWords_, 0);
-    affInvs_.assign(nRules_ * invWords_, 0);
-    affRuleCount_.assign(nRules_, 0);
-    for (std::size_t r = 0; r < nRules_; ++r) {
-        std::uint64_t *rowR = affRules_.data() + r * ruleWords_;
-        std::uint64_t *rowI = affInvs_.data() + r * invWords_;
-        if (writeUnknown_[r]) {
-            setAllBits(rowR, ruleWords_, nRules_);
-            setAllBits(rowI, invWords_, nInvs_);
-        } else {
-            const std::uint64_t *w = writes.data() + r * varWords;
-            for (std::size_t q = 0; q < nRules_; ++q) {
-                if (readUnknown_[q] ||
-                    bitsIntersect(w, reads.data() + q * varWords,
-                                  varWords))
-                    rowR[q >> 6] |= 1ULL << (q & 63);
-            }
-            for (std::size_t i = 0; i < nInvs_; ++i) {
-                if (invUnknown[i] ||
-                    bitsIntersect(w, invReads.data() + i * varWords,
-                                  varWords))
-                    rowI[i >> 6] |= 1ULL << (i & 63);
+        for (int w = 3; w >= 0; --w) {
+            if (k.values[w] != 0) {
+                const auto top = static_cast<std::uint16_t>(
+                    64 * w + 64 - __builtin_clzll(k.values[w]));
+                rowsOf[k.var] = std::max(rowsOf[k.var], top);
+                break;
             }
         }
-        std::uint32_t cnt = 0;
-        for (std::size_t w = 0; w < ruleWords_; ++w)
-            cnt += static_cast<std::uint32_t>(
-                __builtin_popcountll(rowR[w]));
-        affRuleCount_[r] = cnt;
     }
-}
+    std::vector<std::uint32_t> baseOf(ts.numVars(), 0);
+    std::uint32_t total = 0;
+    for (std::size_t v = 0; v < rowsOf.size(); ++v) {
+        if (rowsOf[v] == 0)
+            continue;
+        baseOf[v] = total;
+        vars_.push_back(KeyedVar{static_cast<std::uint16_t>(v),
+                                 rowsOf[v], total});
+        total += rowsOf[v];
+    }
 
-double
-RuleDepIndex::avgAffectedRules() const
-{
-    if (nRules_ == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (const std::uint32_t c : affRuleCount_)
-        sum += c;
-    return sum / static_cast<double>(nRules_);
+    // Pass 2: each keyed rule sets its bit in the row of every value
+    // its key admits.
+    rows_.assign(static_cast<std::size_t>(total) * words_, 0);
+    for (std::size_t r = 0; r < nRules_; ++r) {
+        const GuardKey &k = rules[r].key;
+        if (!k.keyed)
+            continue;
+        for (std::size_t w = 0; w < k.values.size(); ++w) {
+            for (std::uint64_t m = k.values[w]; m != 0; m &= m - 1) {
+                const std::size_t v =
+                    64 * w +
+                    static_cast<std::size_t>(__builtin_ctzll(m));
+                rows_[(baseOf[k.var] + v) * words_ + (r >> 6)] |=
+                    1ULL << (r & 63);
+            }
+        }
+    }
 }
 
 std::size_t

@@ -12,8 +12,11 @@
 #ifndef NEO_VERIF_TRANSITION_SYSTEM_HPP
 #define NEO_VERIF_TRANSITION_SYSTEM_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -47,6 +50,51 @@ struct GuardTerm
     std::uint16_t var = 0;
     Op op = Op::Eq;
     std::uint8_t imm = 0;
+
+    /** Whether the value @p v of s[var] satisfies the term. */
+    bool
+    holds(std::uint8_t v) const
+    {
+        switch (op) {
+          case Op::Eq: return v == imm;
+          case Op::Ne: return v != imm;
+          case Op::Lt: return v < imm;
+          case Op::Le: return v <= imm;
+          case Op::Gt: return v > imm;
+          case Op::Ge: return v >= imm;
+        }
+        return false;
+    }
+};
+
+/**
+ * A rule's guard key: one necessary conjunct `s[var] ∈ values` of its
+ * guard, so guard(s) implies that s[var] is one of the values. The
+ * engines evaluate a keyed rule's guard only on states whose s[var]
+ * the key admits (RuleDepIndex); an unkeyed rule is evaluated on
+ * every state. The values live in an inline 256-bit mask, so a key
+ * costs its rule no heap allocation.
+ */
+struct GuardKey
+{
+    bool keyed = false;
+    std::uint16_t var = 0;
+    /** Bit v set: the key admits s[var] == v. */
+    std::array<std::uint64_t, 4> values{};
+
+    GuardKey() = default;
+    /** The key `s[var] ∈ vals`. */
+    GuardKey(std::size_t var, std::initializer_list<std::uint8_t> vals);
+    /** The values one flat term admits. */
+    explicit GuardKey(const GuardTerm &t);
+
+    bool
+    admits(std::uint8_t v) const
+    {
+        return ((values[v >> 6] >> (v & 63)) & 1) != 0;
+    }
+    /** Admitted values: the fewer, the more selective the key. */
+    int count() const;
 };
 
 /**
@@ -83,9 +131,9 @@ class TransitionSystem
      *  whose canon sorts leaf blocks can answer this with one
      *  sortedness sweep — no allocation, no sort — which lets the
      *  engines skip the canonicalization call entirely on the ~40-50%
-     *  of firings that land on an already-canonical successor (the
-     *  dependency-index fast path). Optional; when absent the engines
-     *  detect identity by comparing bytes after canonicalizing. */
+     *  of firings that land on an already-canonical successor
+     *  (canonicalize()). Optional; when absent every successor is
+     *  canonicalized. */
     using CanonicalCheck = std::function<bool(const VState &)>;
     /** Permission summary of a state (the Neo sumC output). */
     using Summarizer = std::function<Perm(const VState &)>;
@@ -106,27 +154,24 @@ class TransitionSystem
         std::vector<EffectTerm> effectTerms;
         bool guardFlat = false;
         bool effectFlat = false;
-        /** Declared read-set for a FALLBACK (lambda) guard: the exact
-         *  variables the guard inspects, promised by the model author
-         *  via declareGuardReads(). Lets the dependency index keep a
-         *  disjunctive guard out of the conservative everything-set.
-         *  Flat guards don't need it (their reads are the term vars). */
-        std::vector<std::uint16_t> guardReads;
-        bool guardReadsDeclared = false;
+        /** Necessary conjunct of the guard: declared with a lambda
+         *  guard, derived from the most selective term of a flat one,
+         *  unkeyed when neither says anything. */
+        GuardKey key;
 
         /** Rewrite the guard/effect with an opaque function (the
          *  mutant registry's surgical rewrites). MUST be used instead
          *  of assigning the member directly: a stale flat form — or a
-         *  stale declared read-set — would make CompiledRules or the
-         *  dependency index reason about the pre-mutation behavior. */
+         *  stale key, which the new guard need not imply — would make
+         *  CompiledRules or the candidate table reason about the
+         *  pre-mutation behavior. */
         void
         overrideGuard(Guard g)
         {
             guard = std::move(g);
             guardTerms.clear();
             guardFlat = false;
-            guardReads.clear();
-            guardReadsDeclared = false;
+            key = GuardKey{};
         }
         void
         overrideEffect(Effect e)
@@ -141,18 +186,6 @@ class TransitionSystem
     {
         std::string name;
         Check check;
-        /** Flat term form (a pure conjunction over single variables),
-         *  when the model declared one; `check` is synthesized from
-         *  the terms in that case, so every consumer that only knows
-         *  `check` behaves identically. */
-        std::vector<GuardTerm> terms;
-        bool flat = false;
-        /** The exact variables the predicate reads — from the flat
-         *  terms, or declared alongside a lambda check. Feeds the
-         *  dependency index's var→invariant map; absent means the
-         *  invariant conservatively depends on every variable. */
-        std::vector<std::uint16_t> reads;
-        bool readsDeclared = false;
     };
 
     /** Declare a variable; @return its index into the state vector. */
@@ -164,14 +197,18 @@ class TransitionSystem
         return varNames_.size() - 1;
     }
 
+    /** Rule with function forms. @p key, when given, must be a
+     *  necessary conjunct of @p guard (see GuardKey). */
     void
-    addRule(std::string name, ActionKind kind, Guard guard, Effect effect)
+    addRule(std::string name, ActionKind kind, Guard guard, Effect effect,
+            GuardKey key = {})
     {
         Rule r;
         r.name = std::move(name);
         r.kind = kind;
         r.guard = std::move(guard);
         r.effect = std::move(effect);
+        r.key = key;
         rules_.push_back(std::move(r));
     }
 
@@ -180,7 +217,8 @@ class TransitionSystem
      *  `Rule::guard`/`Rule::effect` (trace replay, fingerprints,
      *  mutants) behaves identically; the engines' CompiledRules
      *  evaluates the terms directly, skipping the std::function
-     *  dispatch on the hot path. */
+     *  dispatch on the hot path. The key is the term admitting the
+     *  fewest values. */
     void addRule(std::string name, ActionKind kind,
                  std::vector<GuardTerm> guard,
                  std::vector<EffectTerm> effect);
@@ -189,34 +227,13 @@ class TransitionSystem
      *  condition needs a disjunction or quantifier but whose effect
      *  is a plain assignment sequence. */
     void addRule(std::string name, ActionKind kind, Guard guard,
-                 std::vector<EffectTerm> effect);
+                 std::vector<EffectTerm> effect, GuardKey key = {});
 
     void
     addInvariant(std::string name, Check check)
     {
-        Invariant inv;
-        inv.name = std::move(name);
-        inv.check = std::move(check);
-        invariants_.push_back(std::move(inv));
+        invariants_.push_back(Invariant{std::move(name), std::move(check)});
     }
-
-    /** Invariant in flat term form (a conjunction of `s[var] OP imm`);
-     *  the predicate is synthesized from the terms and the read-set is
-     *  exactly the term variables. */
-    void addInvariant(std::string name, std::vector<GuardTerm> terms);
-
-    /** Lambda invariant with a declared read-set: @p reads must list
-     *  EVERY variable the predicate can inspect (the engines skip
-     *  re-checking it after firings that write none of them). */
-    void addInvariant(std::string name, Check check,
-                      std::vector<std::uint16_t> reads);
-
-    /** Declare the exact read-set of an existing rule's fallback
-     *  (lambda) guard; fatal if the rule does not exist. The promise
-     *  mirrors addInvariant's: @p vars lists EVERY variable the guard
-     *  can inspect. Cleared again by Rule::overrideGuard. */
-    void declareGuardReads(const std::string &ruleName,
-                           std::vector<std::uint16_t> vars);
 
     /** Remove an invariant by name; @return whether it existed. Used
      *  by corpus mutants whose protocol change makes one bookkeeping
@@ -240,6 +257,20 @@ class TransitionSystem
     }
     const Canonicalizer &canonicalizer() const { return canon_; }
     const CanonicalCheck &canonicalCheck() const { return canonCheck_; }
+
+    /** Map @p s to its canonical representative in place, skipping
+     *  the canonicalizer when the CanonicalCheck reports @p s already
+     *  canonical. @return whether the check skipped it. */
+    bool
+    canonicalize(VState &s) const
+    {
+        if (!canon_)
+            return false;
+        if (canonCheck_ && canonCheck_(s))
+            return true;
+        canon_(s);
+        return false;
+    }
     const Summarizer &summarizer() const { return sum_; }
     const std::string &varName(std::size_t i) const
     {
@@ -267,16 +298,6 @@ class TransitionSystem
     Canonicalizer canon_;
     CanonicalCheck canonCheck_;
     Summarizer sum_;
-};
-
-/** One recorded byte of a fire-and-undo effect application: restore
- *  s[var] = old to roll the firing back (CompiledRules::undoEffect
- *  replays records in reverse, so effects that write a variable twice
- *  restore the ORIGINAL value). */
-struct EffectUndo
-{
-    std::uint16_t var = 0;
-    std::uint8_t old = 0;
 };
 
 /**
@@ -312,17 +333,7 @@ class CompiledRules
             return (*e.guardFn)(s);
         for (std::uint32_t i = e.gBegin; i != e.gEnd; ++i) {
             const GuardTerm &t = gterms_[i];
-            const std::uint8_t v = s[t.var];
-            bool ok = false;
-            switch (t.op) {
-              case GuardTerm::Op::Eq: ok = v == t.imm; break;
-              case GuardTerm::Op::Ne: ok = v != t.imm; break;
-              case GuardTerm::Op::Lt: ok = v < t.imm; break;
-              case GuardTerm::Op::Le: ok = v <= t.imm; break;
-              case GuardTerm::Op::Gt: ok = v > t.imm; break;
-              case GuardTerm::Op::Ge: ok = v >= t.imm; break;
-            }
-            if (!ok)
+            if (!t.holds(s[t.var]))
                 return false;
         }
         return true;
@@ -342,45 +353,6 @@ class CompiledRules
         }
     }
 
-    bool guardFlat(std::size_t r) const { return rules_[r].guardFlat; }
-    bool effectFlat(std::size_t r) const
-    {
-        return rules_[r].effectFlat;
-    }
-
-    /** Largest flat-effect term count over all rules: the undo buffer
-     *  size effectInPlace() needs (0 for a rule-free system). */
-    std::size_t maxEffectTerms() const { return maxEffectTerms_; }
-
-    /** Fire rule @p r's FLAT effect directly on @p s, writing one undo
-     *  record per term into @p undo — a raw buffer of at least
-     *  maxEffectTerms() entries; raw writes, not a vector, because
-     *  this runs once per transition and even push_back's capacity
-     *  check is measurable there. Returns the record count. Only valid
-     *  when effectFlat(r); the caller restores @p s with
-     *  undoEffect(). */
-    std::size_t
-    effectInPlace(std::size_t r, VState &s, EffectUndo *undo) const
-    {
-        const Entry &e = rules_[r];
-        std::size_t n = 0;
-        for (std::uint32_t i = e.eBegin; i != e.eEnd; ++i) {
-            const EffectTerm &t = eterms_[i];
-            undo[n++] = EffectUndo{t.dst, s[t.dst]};
-            s[t.dst] = t.op == EffectTerm::Op::Set ? t.imm : s[t.src];
-        }
-        return n;
-    }
-
-    /** Roll back an effectInPlace() application (reverse replay) and
-     *  clear the log for reuse. */
-    static void
-    undoEffect(VState &s, const EffectUndo *undo, std::size_t n)
-    {
-        while (n-- > 0)
-            s[undo[n].var] = undo[n].old;
-    }
-
   private:
     struct Entry
     {
@@ -395,38 +367,23 @@ class CompiledRules
     std::vector<Entry> rules_;
     std::vector<GuardTerm> gterms_;
     std::vector<EffectTerm> eterms_;
-    std::size_t maxEffectTerms_ = 0;
 };
 
 /**
- * Static read/write dependency index over a TransitionSystem.
+ * Candidate table over a TransitionSystem's guard keys.
  *
- * For every rule r it precomputes two bitsets:
+ * For every keyed variable it holds one row per value: the bitset of
+ * the rules keyed on that variable whose key admits the value. A
+ * state's candidates are the unkeyed rules plus, for each keyed
+ * variable, the row selected by the state's value of it. Rows run up
+ * to the largest value any key on the variable admits, so a state
+ * value past the last row selects no keyed rule. Every rule whose
+ * guard holds is a candidate, because a key is a necessary conjunct
+ * of its guard; forEachEnabled() therefore sees exactly the rules a
+ * full scan would, in the same ascending order.
  *
- *  - affectedRules(r): the rules whose guard READ-set intersects r's
- *    effect WRITE-set. After firing r on a state whose enabled-rule
- *    bitset is known, only these guards can have changed value — the
- *    engines re-evaluate them and copy every other bit from the
- *    parent (sound ONLY when the successor is its own canonical
- *    representative; a permuted representative rewrites variables the
- *    effect never touched, so the engines gate the delta on a
- *    canonicalizer-identity check and fall back to a full scan).
- *
- *  - affectedInvariants(r): the invariants whose read-set intersects
- *    r's write-set. An invariant outside this set evaluates to the
- *    same value on parent and successor, and the parent (being
- *    expanded) already passed it — so it provably holds and the
- *    engines can skip the predicate call while still counting the
- *    logical evaluation.
- *
- * Conservatism: a fallback (lambda) guard without a declared
- * read-set reads "everything" (its bit is re-evaluated after every
- * firing); a fallback effect writes "everything" (the firing
- * invalidates every guard and every invariant). Mutant-overridden
- * rules clear their flat forms and declared read-sets, so they are
- * conservative by construction. Immutable after construction and
- * safe to share read-only across worker threads; holds no pointers
- * into the system.
+ * Immutable after construction and safe to share read-only across
+ * worker threads; holds no pointers into the system.
  */
 class RuleDepIndex
 {
@@ -434,67 +391,63 @@ class RuleDepIndex
     explicit RuleDepIndex(const TransitionSystem &ts);
 
     std::size_t numRules() const { return nRules_; }
-    std::size_t numInvariants() const { return nInvs_; }
-    /** Words per rule-bitset / invariant-bitset. */
-    std::size_t ruleWords() const { return ruleWords_; }
-    std::size_t invWords() const { return invWords_; }
+    /** Words in one rule bitset (at least one). */
+    std::size_t ruleWords() const { return words_; }
 
-    const std::uint64_t *
-    affectedRules(std::size_t r) const
+    /** Write the candidate bitset of @p s into @p out (ruleWords()
+     *  words). */
+    void
+    candidates(const VState &s, std::uint64_t *out) const
     {
-        return affRules_.data() + r * ruleWords_;
-    }
-    const std::uint64_t *
-    affectedInvariants(std::size_t r) const
-    {
-        return affInvs_.data() + r * invWords_;
-    }
-    /** Popcount of affectedRules(r) — what a delta re-evaluation
-     *  costs; numRules() - this is what it skips. */
-    std::uint32_t
-    affectedRuleCount(std::size_t r) const
-    {
-        return affRuleCount_[r];
+        std::copy(always_.begin(), always_.end(), out);
+        for (const KeyedVar &k : vars_) {
+            const std::uint8_t v = s[k.var];
+            if (v >= k.rows)
+                continue;
+            const std::uint64_t *row =
+                rows_.data() + (k.base + v) * words_;
+            for (std::size_t w = 0; w < words_; ++w)
+                out[w] |= row[w];
+        }
     }
 
-    bool
-    ruleAffectsRule(std::size_t r, std::size_t q) const
+    /** Evaluate the guard of every candidate of @p s in ascending rule
+     *  order and call @p f(r) for each rule r whose guard holds; a
+     *  false return from @p f stops the scan. @p scratch holds
+     *  ruleWords() words. @return the number of guards evaluated. */
+    template <class F>
+    std::size_t
+    forEachEnabled(const CompiledRules &comp, const VState &s,
+                   std::uint64_t *scratch, F &&f) const
     {
-        return (affectedRules(r)[q >> 6] >> (q & 63)) & 1;
+        candidates(s, scratch);
+        std::size_t evals = 0;
+        for (std::size_t w = 0; w < words_; ++w) {
+            for (std::uint64_t m = scratch[w]; m != 0; m &= m - 1) {
+                const std::size_t r =
+                    (w << 6) +
+                    static_cast<std::size_t>(__builtin_ctzll(m));
+                ++evals;
+                if (comp.guard(r, s) && !f(r))
+                    return evals;
+            }
+        }
+        return evals;
     }
-    bool
-    ruleAffectsInvariant(std::size_t r, std::size_t i) const
-    {
-        return (affectedInvariants(r)[i >> 6] >> (i & 63)) & 1;
-    }
-
-    /** Rule r's effect write-set is unknown (fallback effect): it
-     *  conservatively invalidates every guard and invariant. */
-    bool
-    writeSetUnknown(std::size_t r) const
-    {
-        return writeUnknown_[r] != 0;
-    }
-    /** Rule q's guard read-set is unknown (fallback guard, no
-     *  declared reads): every firing re-evaluates it. */
-    bool
-    readSetUnknown(std::size_t q) const
-    {
-        return readUnknown_[q] != 0;
-    }
-
-    /** Mean affected-rule count across rules (reported by the bench:
-     *  the expected delta cost per firing vs a full O(R) scan). */
-    double avgAffectedRules() const;
 
   private:
-    std::size_t nRules_ = 0, nInvs_ = 0;
-    std::size_t ruleWords_ = 0, invWords_ = 0;
-    std::vector<std::uint64_t> affRules_;
-    std::vector<std::uint64_t> affInvs_;
-    std::vector<std::uint32_t> affRuleCount_;
-    std::vector<std::uint8_t> writeUnknown_;
-    std::vector<std::uint8_t> readUnknown_;
+    /** A keyed variable's rows: rows_[(base + v) * words_ ...]. */
+    struct KeyedVar
+    {
+        std::uint16_t var = 0;
+        std::uint16_t rows = 0;
+        std::uint32_t base = 0;
+    };
+
+    std::size_t nRules_ = 0, words_ = 1;
+    std::vector<std::uint64_t> always_;
+    std::vector<KeyedVar> vars_;
+    std::vector<std::uint64_t> rows_;
 };
 
 } // namespace neo

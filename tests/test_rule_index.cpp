@@ -1,35 +1,41 @@
 /**
  * @file
- * Dependency-indexed successor generation: RuleDepIndex construction
- * unit tests, differential fixpoint equality with the index on vs off
- * (sequential, parallel, the random walker)
- * across every bundled model and corpus mutant, identity-gate fallback
- * behavior when the canonicalizer has no exactness predicate, and
- * counter sanity.
+ * Candidate-scan successor generation: guard keys and the RuleDepIndex
+ * candidate table (unit tests), key soundness at every reachable state
+ * of the bundled models, German, open and closed NeoMESI and every
+ * corpus mutant, and differential fixpoint equality against an opaque
+ * copy of each model.
  *
- * The contract under test: `--no-rule-index` (ExploreLimits/
- * WalkOptions::ruleIndex = false) is a pure perf baseline — status,
- * states, transitions, per-rule fire digests, invariant-check counts,
- * traces and walker picks are bit-identical either way. guardEvals is
- * deliberately NOT compared: it counts PHYSICAL evaluations, so the
- * on/off difference (and, in the parallel explorer, run-to-run
- * jitter from racy frontier interning) is the index working.
+ * The opaque copy rewrites every guard through Rule::overrideGuard,
+ * which drops its key and its flat terms: every rule is a candidate on
+ * every state, so the engines fall back to the full guard scan. The
+ * contract under test is that the candidate table is a pure perf
+ * device — status, states, transitions, per-rule fire digests,
+ * invariant-check counts, traces and walker picks are bit-identical
+ * either way. guardEvals is compared only where it is deterministic:
+ * it counts PHYSICAL evaluations, and under the parallel explorer
+ * which racing parent interns a state first is not.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "verif/explorer.hpp"
+#include "verif/models/flat_closed.hpp"
+#include "verif/models/flat_open.hpp"
 #include "verif/models/german.hpp"
 #include "verif/models/mutants.hpp"
 #include "verif/random_walk.hpp"
 #include "verif/transition_system.hpp"
 
 using namespace neo;
+using namespace neo::verif;
 
 namespace
 {
@@ -67,14 +73,48 @@ firesDigest(const std::vector<std::uint64_t> &fires)
     return h;
 }
 
+/** Candidate rule indices of @p s, ascending. */
+std::vector<std::size_t>
+candidatesOf(const RuleDepIndex &idx, const VState &s)
+{
+    std::vector<std::uint64_t> bits(idx.ruleWords());
+    idx.candidates(s, bits.data());
+    std::vector<std::size_t> out;
+    for (std::size_t r = 0; r < idx.numRules(); ++r) {
+        if ((bits[r >> 6] >> (r & 63)) & 1)
+            out.push_back(r);
+    }
+    return out;
+}
+
+/** Rules of @p ts that carry a guard key. */
+std::size_t
+keyedRules(const TransitionSystem &ts)
+{
+    return static_cast<std::size_t>(
+        std::count_if(ts.rules().begin(), ts.rules().end(),
+                      [](const auto &r) { return r.key.keyed; }));
+}
+
+/** @p ts with every guard made opaque: no key, no flat terms. */
+TransitionSystem
+opaqueCopy(TransitionSystem ts)
+{
+    for (std::size_t r = 0; r < ts.rules().size(); ++r) {
+        TransitionSystem::Rule *rule = ts.findRule(ts.rules()[r].name);
+        rule->overrideGuard(rule->guard);
+    }
+    return ts;
+}
+
 // ---------------------------------------------------------------------
-// RuleDepIndex construction.
+// Guard keys and the candidate table.
 // ---------------------------------------------------------------------
 
 /** Three flat rules over {x, y, z}:
- *    incX: guard x==0, effect x:=1        (reads {x}, writes {x})
- *    onX : guard x==1, effect y:=1        (reads {x}, writes {y})
- *    onY : guard y==1, effect z:=1        (reads {y}, writes {z}) */
+ *    incX: guard x==0, effect x:=1
+ *    onX : guard x==1, effect y:=1
+ *    onY : guard y==1, effect z:=1 */
 TransitionSystem
 flatToy()
 {
@@ -93,96 +133,77 @@ flatToy()
 
 TEST(RuleDepIndex, FlatRulesGetExactSets)
 {
-    const TransitionSystem ts = flatToy();
+    TransitionSystem ts = flatToy();
+    // The key is the term admitting the fewest values: x <= 2 admits
+    // three, z == 0 one.
+    ts.addRule("narrow", ActionKind::Internal,
+               {GuardTerm{0, GuardTerm::Op::Le, 2}, geq(2, 0)},
+               {eset(2, 1)});
+    // No terms, no key: a candidate everywhere.
+    ts.addRule("always", ActionKind::Internal,
+               std::vector<GuardTerm>{}, {eset(2, 0)});
+    const auto &rules = ts.rules();
+    EXPECT_TRUE(rules[0].key.keyed);
+    EXPECT_EQ(rules[0].key.var, 0u);
+    EXPECT_EQ(rules[0].key.count(), 1);
+    EXPECT_TRUE(rules[0].key.admits(0));
+    EXPECT_EQ(rules[3].key.var, 2u);
+    EXPECT_FALSE(rules[4].key.keyed);
+
     const RuleDepIndex idx(ts);
-    ASSERT_EQ(idx.numRules(), 3u);
-
-    // incX writes x: re-evaluate the readers of x (incX, onX) only.
-    EXPECT_TRUE(idx.ruleAffectsRule(0, 0));
-    EXPECT_TRUE(idx.ruleAffectsRule(0, 1));
-    EXPECT_FALSE(idx.ruleAffectsRule(0, 2));
-    EXPECT_EQ(idx.affectedRuleCount(0), 2u);
-
-    // onX writes y: only onY reads y.
-    EXPECT_FALSE(idx.ruleAffectsRule(1, 0));
-    EXPECT_FALSE(idx.ruleAffectsRule(1, 1));
-    EXPECT_TRUE(idx.ruleAffectsRule(1, 2));
-    EXPECT_EQ(idx.affectedRuleCount(1), 1u);
-
-    // onY writes z: nobody reads z.
-    EXPECT_EQ(idx.affectedRuleCount(2), 0u);
-
-    for (std::size_t r = 0; r < 3; ++r) {
-        EXPECT_FALSE(idx.readSetUnknown(r));
-        EXPECT_FALSE(idx.writeSetUnknown(r));
-    }
+    ASSERT_EQ(idx.numRules(), 5u);
+    using V = std::vector<std::size_t>;
+    EXPECT_EQ(candidatesOf(idx, {0, 0, 0}), (V{0, 3, 4}));
+    EXPECT_EQ(candidatesOf(idx, {1, 0, 1}), (V{1, 4}));
+    EXPECT_EQ(candidatesOf(idx, {1, 1, 1}), (V{1, 2, 4}));
+    // A value past the last row selects no rule keyed on that var.
+    EXPECT_EQ(candidatesOf(idx, {7, 9, 9}), (V{4}));
 }
 
 TEST(RuleDepIndex, LambdaGuardIsConservativeUntilDeclared)
 {
     TransitionSystem ts = flatToy();
     const auto w = ts.addVar("w", 0);
-    // Lambda guard, no declared reads: must be re-evaluated after
-    // EVERY firing — it lands in every rule's affected set.
-    ts.addRule(
-        "opaque", ActionKind::Internal,
-        TransitionSystem::Guard(
-            [w](const VState &s) { return s[w] == 0; }),
-        {eset(w, 1)});
+    const TransitionSystem::Guard g = [w](const VState &s) {
+        return s[w] == 0 || s[w] == 2;
+    };
+    // Lambda guard, no key: a candidate on every state.
+    ts.addRule("opaque", ActionKind::Internal, g, {eset(w, 1)});
     {
         const RuleDepIndex idx(ts);
-        EXPECT_TRUE(idx.readSetUnknown(3));
-        for (std::size_t r = 0; r < idx.numRules(); ++r)
-            EXPECT_TRUE(idx.ruleAffectsRule(r, 3))
-                << "rule " << r << " must affect the opaque guard";
-        // The flat rules' sets are unchanged by the opaque PEER
-        // (read-unknown pollutes column 3, not their rows' width).
-        EXPECT_FALSE(idx.ruleAffectsRule(1, 0));
+        EXPECT_EQ(keyedRules(ts), 3u);
+        for (std::uint8_t v = 0; v < 4; ++v) {
+            const auto c = candidatesOf(idx, {1, 1, 1, v});
+            EXPECT_NE(std::find(c.begin(), c.end(), 3u), c.end());
+        }
     }
-    // Declaring the exact read-set shrinks it back: only writers of
-    // w re-enable it.
-    ts.declareGuardReads("opaque", {v16(w)});
-    {
-        const RuleDepIndex idx(ts);
-        EXPECT_FALSE(idx.readSetUnknown(3));
-        EXPECT_FALSE(idx.ruleAffectsRule(0, 3)); // incX writes x
-        EXPECT_TRUE(idx.ruleAffectsRule(3, 3));  // opaque writes w
-    }
-}
-
-TEST(RuleDepIndex, LambdaEffectInvalidatesEverything)
-{
-    TransitionSystem ts = flatToy();
-    const auto w = ts.addVar("w", 0);
-    ts.addRule(
-        "opaqueEff", ActionKind::Internal,
-        TransitionSystem::Guard(
-            [w](const VState &s) { return s[w] == 0; }),
-        TransitionSystem::Effect([w](VState &s) { s[w] = 1; }));
-    ts.declareGuardReads("opaqueEff", {v16(w)});
+    // Declared with a key, it is a candidate only where the key
+    // admits the state.
+    ts.addRule("keyed", ActionKind::Internal, g, {eset(w, 1)},
+               GuardKey(w, {0, 2}));
     const RuleDepIndex idx(ts);
-    EXPECT_TRUE(idx.writeSetUnknown(3));
-    EXPECT_FALSE(idx.readSetUnknown(3)); // reads are declared
-    // Unknown write-set: conservatively re-evaluate every guard and
-    // every invariant after it fires.
-    EXPECT_EQ(idx.affectedRuleCount(3), idx.numRules());
+    EXPECT_EQ(keyedRules(ts), 4u);
+    for (std::uint8_t v = 0; v < 4; ++v) {
+        const auto c = candidatesOf(idx, {1, 1, 1, v});
+        const bool cand = std::find(c.begin(), c.end(), 4u) != c.end();
+        EXPECT_EQ(cand, v == 0 || v == 2) << int(v);
+    }
 }
 
 TEST(RuleDepIndex, OverrideGuardDropsDeclaredReads)
 {
     TransitionSystem ts = flatToy();
-    const auto x = 0;
-    // Mutant-style surgical rewrite: overrideGuard must clear both
-    // the flat terms and any declared read-set, reverting the rule
-    // to read-unknown (the index must not reason about the
-    // pre-mutation guard).
+    // Mutant-style surgical rewrite: overrideGuard must clear both the
+    // flat terms and the key, which the new guard need not imply.
     TransitionSystem::Rule *r = ts.findRule("onX");
     ASSERT_NE(r, nullptr);
-    r->overrideGuard([x](const VState &s) { return s[x] == 1; });
+    r->overrideGuard([](const VState &s) { return s[0] == 0; });
+    EXPECT_FALSE(r->key.keyed);
+    EXPECT_FALSE(r->guardFlat);
     const RuleDepIndex idx(ts);
-    EXPECT_TRUE(idx.readSetUnknown(1));
-    for (std::size_t q = 0; q < idx.numRules(); ++q)
-        EXPECT_TRUE(idx.ruleAffectsRule(q, 1));
+    EXPECT_EQ(keyedRules(ts), 2u);
+    const auto c = candidatesOf(idx, {0, 0, 0});
+    EXPECT_EQ(c, (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(RuleDepIndex, OverrideEffectDropsFlatWrites)
@@ -190,54 +211,162 @@ TEST(RuleDepIndex, OverrideEffectDropsFlatWrites)
     TransitionSystem ts = flatToy();
     TransitionSystem::Rule *r = ts.findRule("onY");
     ASSERT_NE(r, nullptr);
-    r->overrideEffect([](VState &s) { s[2] = 1; });
-    const RuleDepIndex idx(ts);
-    EXPECT_TRUE(idx.writeSetUnknown(2));
-    EXPECT_EQ(idx.affectedRuleCount(2), idx.numRules());
-}
-
-TEST(RuleDepIndex, InvariantReadSets)
-{
-    TransitionSystem ts = flatToy();
-    // Flat invariant over z: only writers of z re-check it.
-    ts.addInvariant("zLow", {GuardTerm{2, GuardTerm::Op::Le, 1}});
-    // Lambda invariant with declared reads {y}.
-    ts.addInvariant(
-        "yLow", [](const VState &s) { return s[1] <= 1; },
-        {v16(1)});
-    // Lambda invariant, no declared reads: conservative.
-    ts.addInvariant("opaqueInv",
-                    [](const VState &s) { return s[0] <= 1; });
-    const RuleDepIndex idx(ts);
-    ASSERT_EQ(idx.numInvariants(), 3u);
-    // incX writes x: neither zLow nor yLow depend on x, opaqueInv
-    // conservatively depends on everything.
-    EXPECT_FALSE(idx.ruleAffectsInvariant(0, 0));
-    EXPECT_FALSE(idx.ruleAffectsInvariant(0, 1));
-    EXPECT_TRUE(idx.ruleAffectsInvariant(0, 2));
-    // onX writes y -> yLow; onY writes z -> zLow.
-    EXPECT_TRUE(idx.ruleAffectsInvariant(1, 1));
-    EXPECT_FALSE(idx.ruleAffectsInvariant(1, 0));
-    EXPECT_TRUE(idx.ruleAffectsInvariant(2, 0));
-    EXPECT_FALSE(idx.ruleAffectsInvariant(2, 1));
+    r->overrideEffect([](VState &s) { s[2] = 7; });
+    EXPECT_FALSE(r->effectFlat);
+    EXPECT_TRUE(r->effectTerms.empty());
+    // The key describes the guard alone; an effect rewrite keeps it.
+    EXPECT_TRUE(r->key.keyed);
+    // The compiled table fires the rewrite, not the old z := 1.
+    const CompiledRules comp(ts);
+    VState s{1, 1, 0};
+    comp.effect(2, s);
+    EXPECT_EQ(s[2], 7);
 }
 
 TEST(RuleDepIndex, GermanAvgAffectedWellBelowFullScan)
 {
     ModelShape shape;
-    const TransitionSystem ts = verif::buildGermanModel(4, shape);
+    const TransitionSystem ts = buildGermanModel(4, shape);
+    EXPECT_EQ(keyedRules(ts), ts.rules().size());
     const RuleDepIndex idx(ts);
-    // The point of the index: a firing's delta re-evaluation must be
-    // much cheaper than the full R-rule scan. (sendInv's declared
-    // read-set is what keeps this below R — see german.cpp.)
-    EXPECT_LT(idx.avgAffectedRules(),
-              0.8 * double(idx.numRules()));
-    for (std::size_t r = 0; r < idx.numRules(); ++r)
-        EXPECT_FALSE(idx.writeSetUnknown(r));
+    ExploreLimits lim;
+    lim.maxSeconds = 300.0;
+    const ExploreResult r = explore(ts, lim, false, false);
+    ASSERT_EQ(r.status, VerifStatus::Verified);
+    // The point of the table: a state's candidate scan must cost far
+    // less than the full R-rule scan.
+    EXPECT_LT(double(r.guardEvals),
+              0.5 * double(r.statesExplored * idx.numRules()));
+}
+
+TEST(RuleDepIndex, OpenModelPastTheOldBitsetWidth)
+{
+    // Open NeoMESI at N=8 has more than 256 rules; candidate scratch
+    // is sized from the rule count, so the scan covers every rule.
+    ModelShape shape;
+    const TransitionSystem ts = buildOpenModel(
+        8, VerifFeatures::neoMESI(), CompositionMethod::Modified, shape);
+    ASSERT_GT(ts.rules().size(), 256u);
+    WalkOptions opt;
+    opt.walks = 8;
+    opt.depth = 512;
+    const WalkResult keyed = walkExplore(ts, opt);
+    const WalkResult full = walkExplore(opaqueCopy(ts), opt);
+    EXPECT_EQ(int(keyed.status), int(full.status));
+    EXPECT_EQ(keyed.stepsTaken, full.stepsTaken);
+    EXPECT_EQ(keyed.deadEnds, full.deadEnds);
+    EXPECT_GT(keyed.guardEvalsSkipped, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Differential: index on == index off, everywhere.
+// Key soundness: at every reachable state, every rule whose guard
+// holds is a candidate.
+// ---------------------------------------------------------------------
+
+struct ModelCase
+{
+    std::string name;
+    std::function<TransitionSystem()> build;
+};
+
+/** Test names print the model, not the parameter's raw bytes (which
+ *  hold pointers, so they would change from build to build). */
+void
+PrintTo(const ModelCase &c, std::ostream *os)
+{
+    *os << '"' << c.name << '"';
+}
+
+std::vector<ModelCase>
+soundnessModels()
+{
+    std::vector<ModelCase> cases;
+    // Some instances are bundled models too; each is checked once.
+    auto add = [&](const std::string &name,
+                   std::function<TransitionSystem(ModelShape &)> b) {
+        for (const ModelCase &c : cases)
+            if (c.name == name)
+                return;
+        cases.push_back({name, [b] {
+                             ModelShape shape;
+                             return b(shape);
+                         }});
+    };
+    for (const BundledModel &m : bundledModels())
+        add(m.name, m.build);
+    for (std::size_t n = 1; n <= 4; ++n) {
+        add("german_n" + std::to_string(n), [n](ModelShape &shape) {
+            return buildGermanModel(n, shape);
+        });
+    }
+    const std::pair<const char *, CompositionMethod> methods[] = {
+        {"none", CompositionMethod::None},
+        {"original", CompositionMethod::Original},
+        {"modified", CompositionMethod::Modified}};
+    for (std::size_t n = 1; n <= 3; ++n) {
+        add("closed_neomesi_n" + std::to_string(n),
+            [n](ModelShape &shape) {
+                return buildClosedModel(n, VerifFeatures::neoMESI(),
+                                        shape);
+            });
+        for (const auto &[tag, method] : methods) {
+            add(std::string("open_neomesi_") + tag + "_n" +
+                    std::to_string(n),
+                [n, m = method](ModelShape &shape) {
+                    return buildOpenModel(n, VerifFeatures::neoMESI(), m,
+                                          shape);
+                });
+        }
+    }
+    for (const Mutant &m : mutantRegistry())
+        add("mutant_" + m.name, m.build);
+    return cases;
+}
+
+class GuardKeySoundness : public ::testing::TestWithParam<ModelCase>
+{
+};
+
+TEST_P(GuardKeySoundness, EveryEnabledRuleIsACandidate)
+{
+    TransitionSystem ts = GetParam().build();
+    // Without invariants the search runs to the full fixpoint, so a
+    // mutant's states past its first violation are checked too.
+    while (!ts.invariants().empty())
+        ts.dropInvariant(ts.invariants().front().name);
+    const RuleDepIndex idx(ts);
+    const CompiledRules comp(ts);
+    std::vector<std::uint64_t> bits(idx.ruleWords());
+    std::uint64_t misses = 0, enabled = 0;
+    ExploreLimits lim;
+    lim.maxSeconds = 300.0;
+    const ExploreResult r = explore(
+        ts, lim, false, false, [&](const VState &s) {
+            idx.candidates(s, bits.data());
+            for (std::size_t q = 0; q < comp.size(); ++q) {
+                if (!comp.guard(q, s))
+                    continue;
+                ++enabled;
+                if (((bits[q >> 6] >> (q & 63)) & 1) == 0 &&
+                    misses++ == 0)
+                    ADD_FAILURE() << ts.rules()[q].name
+                                  << " enabled but not a candidate at "
+                                  << ts.describe(s);
+            }
+        });
+    ASSERT_EQ(r.status, VerifStatus::Verified);
+    EXPECT_EQ(misses, 0u);
+    EXPECT_EQ(enabled, r.transitionsFired);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, GuardKeySoundness, ::testing::ValuesIn(soundnessModels()),
+    [](const ::testing::TestParamInfo<ModelCase> &info) {
+        return info.param.name;
+    });
+
+// ---------------------------------------------------------------------
+// Differential: keyed model == opaque copy, everywhere.
 // ---------------------------------------------------------------------
 
 struct Fix
@@ -248,12 +377,11 @@ struct Fix
 };
 
 Fix
-runFix(const TransitionSystem &ts, bool index, unsigned threads = 1)
+runFix(const TransitionSystem &ts, unsigned threads = 1)
 {
     ExploreLimits lim;
     lim.maxSeconds = 300.0;
     lim.threads = threads;
-    lim.ruleIndex = index;
     const ExploreResult r = explore(ts, lim, false, threads == 1);
     return Fix{r.status,           r.statesExplored,
                r.transitionsFired, r.invariantChecks,
@@ -262,15 +390,15 @@ runFix(const TransitionSystem &ts, bool index, unsigned threads = 1)
 }
 
 void
-expectSameFix(const Fix &on, const Fix &off, const std::string &what)
+expectSameFix(const Fix &a, const Fix &b, const std::string &what)
 {
-    EXPECT_EQ(int(on.status), int(off.status)) << what;
-    EXPECT_EQ(on.states, off.states) << what;
-    EXPECT_EQ(on.transitions, off.transitions) << what;
-    EXPECT_EQ(on.invChecks, off.invChecks) << what;
-    EXPECT_EQ(on.digest, off.digest) << what;
-    EXPECT_EQ(on.violated, off.violated) << what;
-    EXPECT_EQ(on.traceLen, off.traceLen) << what;
+    EXPECT_EQ(int(a.status), int(b.status)) << what;
+    EXPECT_EQ(a.states, b.states) << what;
+    EXPECT_EQ(a.transitions, b.transitions) << what;
+    EXPECT_EQ(a.invChecks, b.invChecks) << what;
+    EXPECT_EQ(a.digest, b.digest) << what;
+    EXPECT_EQ(a.violated, b.violated) << what;
+    EXPECT_EQ(a.traceLen, b.traceLen) << what;
 }
 
 class IndexDifferential
@@ -283,15 +411,14 @@ class IndexDifferential
         ModelShape shape;
         const std::string &name = GetParam();
         if (name.rfind("mutant:", 0) == 0) {
-            const verif::Mutant *m = verif::findMutant(
-                name.substr(std::string("mutant:").size()));
+            const Mutant *m =
+                findMutant(name.substr(std::string("mutant:").size()));
             EXPECT_NE(m, nullptr) << name;
             return m->build(shape);
         }
         if (name.rfind("german_n", 0) == 0)
-            return verif::buildGermanModel(
-                std::stoul(name.substr(8)), shape);
-        for (const verif::BundledModel &m : verif::bundledModels())
+            return buildGermanModel(std::stoul(name.substr(8)), shape);
+        for (const BundledModel &m : bundledModels())
             if (m.name == name)
                 return m.build(shape);
         ADD_FAILURE() << "unknown model " << name;
@@ -302,7 +429,31 @@ class IndexDifferential
 TEST_P(IndexDifferential, SequentialFixpointIdentical)
 {
     const TransitionSystem ts = build();
-    expectSameFix(runFix(ts, true), runFix(ts, false), GetParam());
+    expectSameFix(runFix(ts), runFix(opaqueCopy(ts)), GetParam());
+}
+
+TEST_P(IndexDifferential, ParallelVerdictIdentical)
+{
+    // A violating run's counts depend on where the racing workers
+    // stop, so only verified runs compare counts.
+    const TransitionSystem ts = build();
+    const TransitionSystem opaque = opaqueCopy(ts);
+    const Fix seq = runFix(ts);
+    for (unsigned threads : {2u, 4u}) {
+        const std::string what =
+            GetParam() + " threads=" + std::to_string(threads);
+        for (const Fix &par :
+             {runFix(ts, threads), runFix(opaque, threads)}) {
+            EXPECT_EQ(int(par.status), int(seq.status)) << what;
+            EXPECT_EQ(par.violated, seq.violated) << what;
+            if (seq.status == VerifStatus::Verified) {
+                EXPECT_EQ(par.states, seq.states) << what;
+                EXPECT_EQ(par.transitions, seq.transitions) << what;
+                EXPECT_EQ(par.invChecks, seq.invChecks) << what;
+                EXPECT_EQ(par.digest, seq.digest) << what;
+            }
+        }
+    }
 }
 
 TEST_P(IndexDifferential, WalkerOutcomeIdentical)
@@ -312,50 +463,29 @@ TEST_P(IndexDifferential, WalkerOutcomeIdentical)
     opt.walks = 64;
     opt.depth = 256;
     opt.seed = 1;
-    opt.ruleIndex = true;
-    const WalkResult on = walkExplore(ts, opt);
-    opt.ruleIndex = false;
-    const WalkResult off = walkExplore(ts, opt);
+    const WalkResult keyed = walkExplore(ts, opt);
+    const WalkResult full = walkExplore(opaqueCopy(ts), opt);
     // Same picks, same traces, same verdicts — bit for bit.
-    EXPECT_EQ(int(on.status), int(off.status)) << GetParam();
-    EXPECT_EQ(on.stepsTaken, off.stepsTaken) << GetParam();
-    EXPECT_EQ(on.deadEnds, off.deadEnds) << GetParam();
-    EXPECT_EQ(on.walkIndex, off.walkIndex) << GetParam();
-    EXPECT_EQ(on.trace, off.trace) << GetParam();
-    EXPECT_EQ(on.violatedInvariant, off.violatedInvariant)
+    EXPECT_EQ(int(keyed.status), int(full.status)) << GetParam();
+    EXPECT_EQ(keyed.stepsTaken, full.stepsTaken) << GetParam();
+    EXPECT_EQ(keyed.deadEnds, full.deadEnds) << GetParam();
+    EXPECT_EQ(keyed.walkIndex, full.walkIndex) << GetParam();
+    EXPECT_EQ(keyed.trace, full.trace) << GetParam();
+    EXPECT_EQ(keyed.violatedInvariant, full.violatedInvariant)
         << GetParam();
-    // No skip-count assertion here: corpus mutants rewritten via
-    // overrideEffect are write-unknown, so their delta legitimately
-    // re-evaluates every guard (see WalkerSkipsOnCleanModel).
-}
-
-TEST(WalkerCounters, WalkerSkipsOnCleanModel)
-{
-    ModelShape shape;
-    const TransitionSystem ts = verif::buildGermanModel(4, shape);
-    WalkOptions opt;
-    opt.walks = 32;
-    opt.depth = 512;
-    opt.seed = 3;
-    const WalkResult on = walkExplore(ts, opt);
-    ASSERT_GT(on.stepsTaken, 0u);
-    EXPECT_GT(on.guardEvalsSkipped, 0u);
-    EXPECT_GT(on.canonIdentityHits, 0u);
-    opt.ruleIndex = false;
-    const WalkResult off = walkExplore(ts, opt);
-    EXPECT_EQ(off.guardEvalsSkipped, 0u);
-    EXPECT_EQ(off.canonIdentityHits, 0u);
-    EXPECT_LT(on.guardEvals, off.guardEvals);
+    EXPECT_EQ(keyed.canonIdentityHits, full.canonIdentityHits)
+        << GetParam();
+    EXPECT_EQ(full.guardEvalsSkipped, 0u) << GetParam();
 }
 
 std::vector<std::string>
 differentialModels()
 {
     std::vector<std::string> names;
-    for (const verif::BundledModel &m : verif::bundledModels())
+    for (const BundledModel &m : bundledModels())
         names.push_back(m.name);
     names.push_back("german_n4");
-    for (const verif::Mutant &m : verif::mutantRegistry())
+    for (const Mutant &m : mutantRegistry())
         names.push_back("mutant:" + m.name);
     return names;
 }
@@ -374,52 +504,69 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IndexDifferentialParallel, GermanThreadsAgree)
 {
     ModelShape shape;
-    const TransitionSystem ts = verif::buildGermanModel(4, shape);
-    const Fix seqOn = runFix(ts, true);
+    const TransitionSystem ts = buildGermanModel(4, shape);
+    const TransitionSystem opaque = opaqueCopy(ts);
+    const Fix seq = runFix(ts);
+    expectSameFix(runFix(opaque), seq, "opaque threads=1");
     for (unsigned threads : {2u, 4u}) {
-        expectSameFix(runFix(ts, true, threads), seqOn,
-                      "threads=" + std::to_string(threads) + " on");
-        expectSameFix(runFix(ts, false, threads), seqOn,
-                      "threads=" + std::to_string(threads) + " off");
+        expectSameFix(runFix(ts, threads), seq,
+                      "threads=" + std::to_string(threads) + " keyed");
+        expectSameFix(runFix(opaque, threads), seq,
+                      "threads=" + std::to_string(threads) + " opaque");
     }
 }
 
+TEST(WalkerCounters, WalkerSkipsOnCleanModel)
+{
+    ModelShape shape;
+    const TransitionSystem ts = buildGermanModel(4, shape);
+    WalkOptions opt;
+    opt.walks = 32;
+    opt.depth = 512;
+    opt.seed = 3;
+    const WalkResult keyed = walkExplore(ts, opt);
+    ASSERT_GT(keyed.stepsTaken, 0u);
+    EXPECT_GT(keyed.guardEvalsSkipped, 0u);
+    EXPECT_GT(keyed.canonIdentityHits, 0u);
+    const WalkResult full = walkExplore(opaqueCopy(ts), opt);
+    EXPECT_EQ(full.guardEvalsSkipped, 0u);
+    EXPECT_LT(keyed.guardEvals, full.guardEvals);
+    EXPECT_EQ(keyed.guardEvals + keyed.guardEvalsSkipped,
+              full.guardEvals);
+}
+
 // ---------------------------------------------------------------------
-// Counters and the identity gate.
+// Counters and the canonical-check skip.
 // ---------------------------------------------------------------------
 
 TEST(IndexCounters, OnPathCountsOffPathZeros)
 {
     ModelShape shape;
-    const TransitionSystem ts = verif::buildGermanModel(4, shape);
+    const TransitionSystem ts = buildGermanModel(4, shape);
 
     ExploreLimits lim;
     lim.maxSeconds = 300.0;
-    const ExploreResult on = explore(ts, lim, false, false);
-    EXPECT_GT(on.guardEvals, 0u);
-    EXPECT_GT(on.guardEvalsSkipped, 0u);
-    EXPECT_GT(on.inPlaceFirings, 0u);
-    EXPECT_GT(on.canonIdentityHits, 0u);
+    const ExploreResult keyed = explore(ts, lim, false, false);
+    EXPECT_GT(keyed.guardEvals, 0u);
+    EXPECT_GT(keyed.guardEvalsSkipped, 0u);
+    EXPECT_GT(keyed.canonIdentityHits, 0u);
 
-    lim.ruleIndex = false;
-    const ExploreResult off = explore(ts, lim, false, false);
-    // Off: every expanded state pays the full R-rule scan...
-    EXPECT_EQ(off.guardEvals,
-              off.statesExplored * ts.rules().size());
-    // ...and none of the index machinery runs.
-    EXPECT_EQ(off.guardEvalsSkipped, 0u);
-    EXPECT_EQ(off.inPlaceFirings, 0u);
-    EXPECT_EQ(off.canonIdentityHits, 0u);
-    // The index never evaluates MORE guards than the full scan.
-    EXPECT_LT(on.guardEvals, off.guardEvals);
-    EXPECT_EQ(on.guardEvals + on.guardEvalsSkipped, off.guardEvals);
+    const ExploreResult full = explore(opaqueCopy(ts), lim, false, false);
+    // Opaque guards: every expanded state pays the full R-rule scan
+    // and nothing is skipped...
+    EXPECT_EQ(full.guardEvals, full.statesExplored * ts.rules().size());
+    EXPECT_EQ(full.guardEvalsSkipped, 0u);
+    // ...and the candidate scan accounts for every rule either way.
+    EXPECT_LT(keyed.guardEvals, full.guardEvals);
+    EXPECT_EQ(keyed.guardEvals + keyed.guardEvalsSkipped,
+              full.guardEvals);
+    // The same successors meet the same canonical check.
+    EXPECT_EQ(keyed.canonIdentityHits, full.canonIdentityHits);
 }
 
-/** Two symmetric one-var leaves with a sort canonicalizer but NO
- *  exactness predicate: the engines must fall back to the
- *  copy-canonicalize-compare identity test, stay bit-identical, and
- *  still score identity hits (plus genuine misses — the toy swaps
- *  blocks on some firings). */
+/** Two symmetric one-var leaves with a sort canonicalizer, with or
+ *  without its exactness predicate (the toy swaps blocks on some
+ *  firings, so the predicate genuinely says no sometimes). */
 TransitionSystem
 permutingToy(bool withCheck)
 {
@@ -445,9 +592,9 @@ permutingToy(bool withCheck)
     } else {
         ts.setCanonicalizer(canon);
     }
-    ts.addInvariant("bounded",
-                    {GuardTerm{0, GuardTerm::Op::Le, 3},
-                     GuardTerm{1, GuardTerm::Op::Le, 3}});
+    ts.addInvariant("bounded", [](const VState &s) {
+        return s[0] <= 3 && s[1] <= 3;
+    });
     return ts;
 }
 
@@ -457,25 +604,21 @@ TEST(IdentityGate, FallbackCompareMatchesPredicate)
     lim.maxSeconds = 60.0;
     const ExploreResult pred =
         explore(permutingToy(true), lim, false, false);
-    const ExploreResult cmp =
-        explore(permutingToy(false), lim, false, false);
-    lim.ruleIndex = false;
-    const ExploreResult off =
+    const ExploreResult plain =
         explore(permutingToy(false), lim, false, false);
 
-    // Same fixpoint all three ways.
-    EXPECT_EQ(pred.statesExplored, off.statesExplored);
-    EXPECT_EQ(cmp.statesExplored, off.statesExplored);
-    EXPECT_EQ(cmp.transitionsFired, off.transitionsFired);
-    EXPECT_EQ(cmp.invariantChecks, off.invariantChecks);
-    EXPECT_EQ(firesDigest(cmp.ruleFires),
-              firesDigest(off.ruleFires));
+    // Skipping the canonicalizer where the predicate allows it reaches
+    // the fixpoint of canonicalizing every successor.
+    EXPECT_EQ(pred.statesExplored, plain.statesExplored);
+    EXPECT_EQ(pred.transitionsFired, plain.transitionsFired);
+    EXPECT_EQ(pred.invariantChecks, plain.invariantChecks);
+    EXPECT_EQ(firesDigest(pred.ruleFires), firesDigest(plain.ruleFires));
 
-    // The fallback and the predicate agree on what "identity" is.
-    EXPECT_EQ(cmp.canonIdentityHits, pred.canonIdentityHits);
-    // This toy genuinely permutes sometimes: hits < transitions.
-    EXPECT_GT(cmp.canonIdentityHits, 0u);
-    EXPECT_LT(cmp.canonIdentityHits, cmp.transitionsFired);
+    // Only a predicate can skip; this toy needs the canonicalizer on
+    // some firings, so hits < transitions.
+    EXPECT_EQ(plain.canonIdentityHits, 0u);
+    EXPECT_GT(pred.canonIdentityHits, 0u);
+    EXPECT_LT(pred.canonIdentityHits, pred.transitionsFired);
 }
 
 } // namespace

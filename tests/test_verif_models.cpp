@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <tuple>
 
@@ -224,6 +225,30 @@ TEST(Parametric, OpenNeoMESIConverges)
         1, 6, lim);
     EXPECT_EQ(r.status, VerifStatus::Verified) << r.detail;
     EXPECT_TRUE(r.converged) << r.detail;
+    // Per-N counts, N=6 included: a successor-generation shortcut that
+    // is exact up to N=5 but drops a firing at N=6 would otherwise
+    // still pass on the verdict alone.
+    struct Pin
+    {
+        std::uint64_t states, transitions;
+        std::size_t views;
+    };
+    const Pin pins[] = {{941, 1997, 1093},
+                        {11734, 33274, 14886},
+                        {79429, 287006, 29569},
+                        {402101, 1782617, 33222},
+                        {1690862, 8951147, 33717},
+                        {6216459, 38485101, 33717}};
+    ASSERT_EQ(r.perInstance.size(), std::size(pins));
+    ASSERT_EQ(r.abstractSetSizes.size(), std::size(pins));
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        EXPECT_EQ(r.perInstance[i].statesExplored, pins[i].states)
+            << "N=" << i + 1;
+        EXPECT_EQ(r.perInstance[i].transitionsFired,
+                  pins[i].transitions)
+            << "N=" << i + 1;
+        EXPECT_EQ(r.abstractSetSizes[i], pins[i].views) << "N=" << i + 1;
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -21,7 +22,23 @@ namespace neo::test
 {
 
 using ViewBytes = std::vector<std::uint8_t>;
-using OracleViews = std::set<ViewBytes>;
+
+/** Byte order of ViewBytes, the same order as its operator<: memcmp
+ *  over the common prefix, then the shorter string first. Spelled
+ *  out because GCC 12 warns (-Wstringop-overread) on the inlined
+ *  operator< of a byte vector. */
+struct ByteLess
+{
+    bool
+    operator()(const ViewBytes &a, const ViewBytes &b) const
+    {
+        const std::size_t n = std::min(a.size(), b.size());
+        const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+        return c != 0 ? c < 0 : a.size() < b.size();
+    }
+};
+
+using OracleViews = std::set<ViewBytes, ByteLess>;
 
 /**
  * Project a concrete state onto its size-<=2 views: the shared
@@ -39,7 +56,7 @@ collectViews(const VState &s, const ModelShape &shape,
             std::min<unsigned>(shared[idx], saturation));
     }
     // Distinct leaf blocks with multiplicity.
-    std::map<ViewBytes, unsigned> counts;
+    std::map<ViewBytes, unsigned, ByteLess> counts;
     for (std::size_t l = 0; l < shape.numLeaves; ++l) {
         const auto base = shape.sharedVars + l * shape.leafBlockSize;
         ViewBytes block(

@@ -61,11 +61,6 @@ usage()
         "  --max-memory B    live-memory bound in bytes (default off)\n"
         "  --threads N       exploration workers; >1 uses the sharded\n"
         "                    parallel explorer    (default 1)\n"
-        "  --no-rule-index   disable dependency-indexed successor\n"
-        "                    generation (guard-skip bitsets, in-place\n"
-        "                    firing, canon-identity gating); counts\n"
-        "                    and traces are bit-identical either way —\n"
-        "                    this is the differential baseline\n"
         "  --trace           print the counterexample, if any\n"
         "falsification (random walks instead of exhaustive search):\n"
         "  --walk            run seeded random walks, not reachability\n"
@@ -462,9 +457,6 @@ main(int argc, char **argv)
                 static_cast<unsigned>(parseU64OrDie(arg, next()));
             if (lim.threads == 0)
                 neo_fatal("--threads needs a value >= 1");
-        } else if (arg == "--no-rule-index") {
-            lim.ruleIndex = false;
-            wopt.ruleIndex = false;
         } else if (arg == "--walk") {
             walk = true;
         } else if (arg == "--walks") {
@@ -830,10 +822,9 @@ main(int argc, char **argv)
                 r.seconds,
                 static_cast<double>(r.memoryBytes) / (1024.0 * 1024.0));
     std::printf("  rule index: %llu guard evals (%llu skipped), "
-                "%llu in-place firings, %llu canon-identity hits\n",
+                "%llu canon-identity hits\n",
                 static_cast<unsigned long long>(r.guardEvals),
                 static_cast<unsigned long long>(r.guardEvalsSkipped),
-                static_cast<unsigned long long>(r.inPlaceFirings),
                 static_cast<unsigned long long>(r.canonIdentityHits));
     if (r.degradedTrace)
         std::printf("  memory pressure shed predecessor links: counts "
