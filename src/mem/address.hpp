@@ -55,6 +55,7 @@ class AddressMap
     }
     Addr tag(Addr a) const { return a >> (blockBits_ + setBits_); }
     unsigned blockBits() const { return blockBits_; }
+    unsigned setBits() const { return setBits_; }
 
   private:
     unsigned blockBits_;

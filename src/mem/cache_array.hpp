@@ -45,11 +45,15 @@ class CacheArray
   public:
     explicit CacheArray(const CacheGeometry &geom)
         : geom_(geom), map_(geom.blockSize, geom.numSets()),
-          ways_(geom.numSets() * geom.assoc)
+          tags_(geom.numSets() * geom.assoc, invalidTag),
+          lastUsed_(tags_.size(), 0), entries_(tags_.size())
     {
         neo_assert(geom.sizeBytes % (geom.assoc * geom.blockSize) == 0,
                    "cache size not divisible by assoc*block");
         neo_assert(isPowerOf2(geom.numSets()), "set count must be 2^k");
+        neo_assert(map_.blockBits() + map_.setBits() > 0,
+                   "a 1-byte, 1-set array leaves no room for the "
+                   "invalid tag");
     }
 
     const CacheGeometry &geometry() const { return geom_; }
@@ -59,34 +63,35 @@ class CacheArray
     EntryT *
     find(Addr addr)
     {
-        Way *w = lookup(addr);
-        if (w == nullptr)
+        const std::size_t w = lookup(addr);
+        if (w == noWay)
             return nullptr;
-        w->lastUsed = ++useClock_;
-        return &w->entry;
+        lastUsed_[w] = ++useClock_;
+        return &entries_[w];
     }
 
     /** Find without disturbing LRU state. */
     EntryT *
     peek(Addr addr)
     {
-        Way *w = lookup(addr);
-        return w != nullptr ? &w->entry : nullptr;
+        const std::size_t w = lookup(addr);
+        return w != noWay ? &entries_[w] : nullptr;
     }
 
     const EntryT *
     peek(Addr addr) const
     {
-        return const_cast<CacheArray *>(this)->peek(addr);
+        const std::size_t w = lookup(addr);
+        return w != noWay ? &entries_[w] : nullptr;
     }
 
     /** True when the set holding @p addr has an invalid way free. */
     bool
     hasFreeWay(Addr addr) const
     {
-        const std::uint64_t base = setBase(addr);
-        for (std::uint64_t i = 0; i < geom_.assoc; ++i)
-            if (!ways_[base + i].valid)
+        const std::size_t base = setBase(addr);
+        for (std::size_t i = 0; i < geom_.assoc; ++i)
+            if (tags_[base + i] == invalidTag)
                 return true;
         return false;
     }
@@ -100,18 +105,19 @@ class CacheArray
               const std::function<bool(Addr, const EntryT &)> &evictable)
         const
     {
-        const std::uint64_t base = setBase(addr);
-        const Way *best = nullptr;
-        for (std::uint64_t i = 0; i < geom_.assoc; ++i) {
-            const Way &w = ways_[base + i];
-            if (!w.valid || !evictable(wayAddr(w, addr), w.entry))
+        const std::size_t base = setBase(addr);
+        const std::uint64_t set = map_.setIndex(addr);
+        std::size_t best = noWay;
+        for (std::size_t w = base; w < base + geom_.assoc; ++w) {
+            if (tags_[w] == invalidTag ||
+                !evictable(reconstruct(tags_[w], set), entries_[w]))
                 continue;
-            if (best == nullptr || w.lastUsed < best->lastUsed)
-                best = &w;
+            if (best == noWay || lastUsed_[w] < lastUsed_[best])
+                best = w;
         }
-        if (best == nullptr)
+        if (best == noWay)
             return std::nullopt;
-        return wayAddr(*best, addr);
+        return reconstruct(tags_[best], set);
     }
 
     /**
@@ -121,18 +127,16 @@ class CacheArray
     EntryT &
     allocate(Addr addr)
     {
-        neo_assert(lookup(addr) == nullptr, "double allocate of block ",
+        neo_assert(lookup(addr) == noWay, "double allocate of block ",
                    addr);
-        const std::uint64_t base = setBase(addr);
-        for (std::uint64_t i = 0; i < geom_.assoc; ++i) {
-            Way &w = ways_[base + i];
-            if (!w.valid) {
-                w.valid = true;
-                w.tag = map_.tag(addr);
-                w.lastUsed = ++useClock_;
-                w.entry = EntryT{};
+        const std::size_t base = setBase(addr);
+        for (std::size_t w = base; w < base + geom_.assoc; ++w) {
+            if (tags_[w] == invalidTag) {
+                tags_[w] = map_.tag(addr);
+                lastUsed_[w] = ++useClock_;
+                entries_[w] = EntryT{};
                 ++allocated_;
-                return w.entry;
+                return entries_[w];
             }
         }
         neo_panic("allocate with no free way for block ", addr);
@@ -142,9 +146,9 @@ class CacheArray
     void
     erase(Addr addr)
     {
-        Way *w = lookup(addr);
-        neo_assert(w != nullptr, "erasing non-resident block ", addr);
-        w->valid = false;
+        const std::size_t w = lookup(addr);
+        neo_assert(w != noWay, "erasing non-resident block ", addr);
+        tags_[w] = invalidTag;
         --allocated_;
     }
 
@@ -155,61 +159,52 @@ class CacheArray
     void
     forEach(const std::function<void(Addr, EntryT &)> &fn)
     {
-        for (std::uint64_t set = 0; set < geom_.numSets(); ++set) {
-            for (std::uint64_t i = 0; i < geom_.assoc; ++i) {
-                Way &w = ways_[set * geom_.assoc + i];
-                if (w.valid)
-                    fn(reconstruct(w.tag, set), w.entry);
-            }
+        for (std::size_t w = 0; w < tags_.size(); ++w) {
+            if (tags_[w] != invalidTag)
+                fn(reconstruct(tags_[w], w / geom_.assoc), entries_[w]);
         }
     }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lastUsed = 0;
-        EntryT entry{};
-    };
+    /**
+     * Tag of a free way. No block's tag has every bit set: the tag
+     * drops the block-offset and set-index bits of a 64-bit address.
+     */
+    static constexpr Addr invalidTag = ~Addr{0};
+    static constexpr std::size_t noWay = ~std::size_t{0};
 
-    std::uint64_t
+    std::size_t
     setBase(Addr addr) const
     {
         return map_.setIndex(addr) * geom_.assoc;
     }
 
-    Way *
-    lookup(Addr addr)
+    /** Way index holding @p addr, or noWay. Scans only the tags. */
+    std::size_t
+    lookup(Addr addr) const
     {
-        const std::uint64_t base = setBase(addr);
+        const std::size_t base = setBase(addr);
         const Addr tag = map_.tag(addr);
-        for (std::uint64_t i = 0; i < geom_.assoc; ++i) {
-            Way &w = ways_[base + i];
-            if (w.valid && w.tag == tag)
-                return &w;
-        }
-        return nullptr;
-    }
-
-    /** Rebuild the block address of a way that shares addr's set. */
-    Addr
-    wayAddr(const Way &w, Addr addr_in_set) const
-    {
-        return reconstruct(w.tag, map_.setIndex(addr_in_set));
+        for (std::size_t w = base; w < base + geom_.assoc; ++w)
+            if (tags_[w] == tag)
+                return w;
+        return noWay;
     }
 
     Addr
     reconstruct(Addr tag, std::uint64_t set) const
     {
-        const unsigned set_bits = log2i(geom_.numSets());
-        return (tag << (set_bits + map_.blockBits())) |
+        return (tag << (map_.setBits() + map_.blockBits())) |
                (set << map_.blockBits());
     }
 
     CacheGeometry geom_;
     AddressMap map_;
-    std::vector<Way> ways_;
+    /** Structure of arrays, one slot per way, set-major: a lookup
+     *  reads only the set's tags. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUsed_;
+    std::vector<EntryT> entries_;
     std::uint64_t useClock_ = 0;
     std::uint64_t allocated_ = 0;
 };

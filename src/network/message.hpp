@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "sim/types.hpp"
@@ -47,6 +48,13 @@ struct Message
 };
 
 using MessagePtr = std::unique_ptr<Message>;
+
+/** Stream a message's trace tag (formats only when streamed). */
+inline std::ostream &
+operator<<(std::ostream &os, const Message &m)
+{
+    return os << m.describe();
+}
 
 /** Endpoint that accepts delivered messages. */
 class MessageConsumer

@@ -28,6 +28,7 @@ TreeNetwork::addNode(MessageConsumer *sink, NodeId parent)
         nodes_[parent].children.push_back(id);
     }
     nodes_.push_back(std::move(info));
+    linkBusy_.resize(nodes_.size() * 2, 0);
     return id;
 }
 
@@ -55,22 +56,13 @@ TreeNetwork::hops(NodeId a, NodeId b) const
     return n;
 }
 
-Tick &
-TreeNetwork::linkBusy(NodeId child_end, bool upward)
-{
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(child_end) << 1) | (upward ? 1 : 0);
-    return linkBusy_[key];
-}
-
 void
 TreeNetwork::scheduleDelivery(MessagePtr msg, Tick arrive)
 {
     MessageConsumer *sink = nodes_[msg->dst].sink;
-    auto *raw = msg.release();
-    eventq().schedule(arrive, [this, sink, raw]() {
+    eventq().schedule(arrive, [this, sink, m = std::move(msg)]() mutable {
         ++delivered_;
-        sink->deliver(MessagePtr(raw));
+        sink->deliver(std::move(m));
     });
 }
 
@@ -104,25 +96,25 @@ TreeNetwork::deliver(MessagePtr msg)
 
     // Find the lowest common ancestor, collecting the downward leg.
     NodeId lca;
-    std::vector<NodeId> down_path; // child endpoints of downward links
+    downPath_.clear();
     {
         NodeId cx = msg->src;
         NodeId cy = msg->dst;
         while (nodes_[cx].depth > nodes_[cy].depth)
             cx = nodes_[cx].parent;
         while (nodes_[cy].depth > nodes_[cx].depth) {
-            down_path.push_back(cy);
+            downPath_.push_back(cy);
             cy = nodes_[cy].parent;
         }
         while (cx != cy) {
-            down_path.push_back(cy);
+            downPath_.push_back(cy);
             cx = nodes_[cx].parent;
             cy = nodes_[cy].parent;
         }
         lca = cx;
-        // down_path holds child endpoints from dst upward; reverse so
+        // downPath_ holds child endpoints from dst upward; reverse so
         // we traverse from the LCA downward.
-        std::reverse(down_path.begin(), down_path.end());
+        std::reverse(downPath_.begin(), downPath_.end());
     }
 
     // Store-and-forward over the path, charging per-link latency +
@@ -154,7 +146,7 @@ TreeNetwork::deliver(MessagePtr msg)
         ++hop_count;
     }
     // Downward links: from the LCA to dst.
-    for (NodeId child_end : down_path) {
+    for (NodeId child_end : downPath_) {
         Tick &busy = linkBusy(child_end, false);
         Tick start = std::max(arrive, busy);
         if (faults_ != nullptr) {

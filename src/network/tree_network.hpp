@@ -20,7 +20,6 @@
 #define NEO_NETWORK_TREE_NETWORK_HPP
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "network/message.hpp"
@@ -108,14 +107,22 @@ class TreeNetwork : public SimObject, public MessageConsumer
     };
 
     /** Occupancy of one directed link, keyed by (childEnd, up?). */
-    Tick &linkBusy(NodeId child_end, bool upward);
+    Tick &
+    linkBusy(NodeId child_end, bool upward)
+    {
+        return linkBusy_[(static_cast<std::size_t>(child_end) << 1) |
+                         (upward ? 1 : 0)];
+    }
 
     /** Schedule the sink handoff of @p msg at @p arrive. */
     void scheduleDelivery(MessagePtr msg, Tick arrive);
 
     NetworkParams params_;
     std::vector<NodeInfo> nodes_;
-    std::unordered_map<std::uint64_t, Tick> linkBusy_;
+    /** Busy-until tick per directed link, at childEnd << 1 | up. */
+    std::vector<Tick> linkBusy_;
+    /** deliver()'s downward leg: child endpoints from the LCA down. */
+    std::vector<NodeId> downPath_;
     Random jitterRng_;
     FaultInjector *faults_ = nullptr;
     std::uint64_t msgSeq_ = 0;

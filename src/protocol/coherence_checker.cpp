@@ -1,51 +1,72 @@
 #include "coherence_checker.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace neo
 {
 
+namespace
+{
+
+/** Store @p ctl at @p id, growing the table as needed. */
+template <typename T>
+void
+registerAt(std::vector<const T *> &table, NodeId id, const T *ctl)
+{
+    if (table.size() <= id)
+        table.resize(id + 1, nullptr);
+    table[id] = ctl;
+}
+
+} // namespace
+
 void
 CoherenceChecker::addDir(const DirController *dir)
 {
-    dirs_[dir->nodeId()] = dir;
+    registerAt(dirs_, dir->nodeId(), dir);
 }
 
 void
 CoherenceChecker::addL1(const L1Controller *l1)
 {
-    l1s_[l1->nodeId()] = l1;
+    registerAt(l1s_, l1->nodeId(), l1);
 }
 
 bool
 CoherenceChecker::quiescent() const
 {
-    for (const auto &[id, dir] : dirs_)
-        if (!dir->quiescent())
+    for (const DirController *dir : dirs_)
+        if (dir != nullptr && !dir->quiescent())
             return false;
-    for (const auto &[id, l1] : l1s_)
-        if (!l1->quiescent())
+    for (const L1Controller *l1 : l1s_)
+        if (l1 != nullptr && !l1->quiescent())
             return false;
     return true;
 }
 
 Perm
-CoherenceChecker::subtreeSum(NodeId node, Addr addr,
+CoherenceChecker::subtreeSum(NodeId node, Addr addr, std::size_t depth,
+                             std::vector<std::vector<Perm>> &sums,
                              std::vector<std::string> &violations) const
 {
-    auto l1_it = l1s_.find(node);
-    if (l1_it != l1s_.end())
-        return leafSum(l1_it->second->blockPerm(addr));
+    if (node < l1s_.size() && l1s_[node] != nullptr)
+        return leafSum(l1s_[node]->blockPerm(addr));
 
-    auto dir_it = dirs_.find(node);
-    neo_assert(dir_it != dirs_.end(), "unregistered node ", node);
-    const DirController *dir = dir_it->second;
+    neo_assert(node < dirs_.size() && dirs_[node] != nullptr,
+               "unregistered node ", node);
+    const DirController *dir = dirs_[node];
 
-    std::vector<Perm> child_sums;
+    if (sums.size() <= depth)
+        sums.resize(depth + 1);
+    sums[depth].clear();
     const auto &children = net_.childrenOf(node);
-    child_sums.reserve(children.size());
-    for (NodeId c : children)
-        child_sums.push_back(subtreeSum(c, addr, violations));
+    for (NodeId c : children) {
+        // Index afresh: a deeper call may grow (and move) `sums`.
+        const Perm p = subtreeSum(c, addr, depth + 1, sums, violations);
+        sums[depth].push_back(p);
+    }
+    const std::vector<Perm> &child_sums = sums[depth];
 
     const Perm perm = dir->blockPerm(addr);
     const Perm sum = composeSum(perm, child_sums);
@@ -78,31 +99,39 @@ CoherenceChecker::check() const
 {
     std::vector<std::string> violations;
 
-    // Collect every address tracked anywhere in the hierarchy.
-    std::set<Addr> addrs;
-    for (const auto &[id, dir] : dirs_) {
+    // Collect every address tracked anywhere in the hierarchy, sorted
+    // and without duplicates.
+    std::vector<Addr> addrs;
+    for (const DirController *dir : dirs_) {
+        if (dir == nullptr)
+            continue;
         dir->forEachEntry(
             [&addrs](const DirController::EntryView &e) {
-                addrs.insert(e.addr);
+                addrs.push_back(e.addr);
             });
     }
-    for (const auto &[id, l1] : l1s_) {
+    for (const L1Controller *l1 : l1s_) {
+        if (l1 == nullptr)
+            continue;
         l1->forEachLine([&addrs](Addr a, L1State s) {
             if (l1StatePerm(s) != Perm::I)
-                addrs.insert(a);
+                addrs.push_back(a);
         });
     }
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
 
     // Find the root (the registered dir whose parent is invalid).
     const DirController *root = nullptr;
-    for (const auto &[id, dir] : dirs_) {
-        if (dir->isRoot())
+    for (const DirController *dir : dirs_) {
+        if (dir != nullptr && dir->isRoot())
             root = dir;
     }
     neo_assert(root != nullptr, "checker needs a root directory");
 
+    std::vector<std::vector<Perm>> sums;
     for (Addr a : addrs)
-        subtreeSum(root->nodeId(), a, violations);
+        subtreeSum(root->nodeId(), a, 0, sums, violations);
 
     return violations;
 }

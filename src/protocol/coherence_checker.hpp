@@ -13,8 +13,6 @@
 #ifndef NEO_PROTOCOL_COHERENCE_CHECKER_HPP
 #define NEO_PROTOCOL_COHERENCE_CHECKER_HPP
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,13 +41,19 @@ class CoherenceChecker
     std::vector<std::string> check() const;
 
   private:
-    /** Recursive Neo summary of the subtree rooted at @p node. */
-    Perm subtreeSum(NodeId node, Addr addr,
+    /**
+     * Recursive Neo summary of the subtree rooted at @p node, which
+     * sits @p depth levels below the root. @p sums holds one reused
+     * child-sum buffer per depth.
+     */
+    Perm subtreeSum(NodeId node, Addr addr, std::size_t depth,
+                    std::vector<std::vector<Perm>> &sums,
                     std::vector<std::string> &violations) const;
 
     const TreeNetwork &net_;
-    std::map<NodeId, const DirController *> dirs_;
-    std::map<NodeId, const L1Controller *> l1s_;
+    /** Registered controllers by NodeId; null where none is. */
+    std::vector<const DirController *> dirs_;
+    std::vector<const L1Controller *> l1s_;
 };
 
 } // namespace neo

@@ -65,13 +65,6 @@ DirController::DirController(std::string name, EventQueue &eventq,
     nodeId_ = net_.addNode(this, parent);
 }
 
-void
-DirController::trace(const std::string &s)
-{
-    if (trace_)
-        trace_(name() + ": " + s);
-}
-
 std::unique_ptr<CoherenceMsg>
 DirController::make(MsgType t, Addr addr, NodeId dst)
 {
@@ -81,7 +74,7 @@ DirController::make(MsgType t, Addr addr, NodeId dst)
 void
 DirController::send(std::unique_ptr<CoherenceMsg> msg)
 {
-    trace("send " + msg->describe());
+    trace("send ", *msg);
     net_.deliver(std::move(msg));
 }
 
@@ -160,10 +153,10 @@ DirController::deliver(MessagePtr msg)
     neo_assert(raw != nullptr, name(), ": non-coherence message");
     if (resilient_ && raw->msgId != 0 && dedup_.seen(raw->msgId)) {
         ++dupDrops_;
-        trace("dup-drop " + raw->describe());
+        trace("dup-drop ", *raw);
         return;
     }
-    trace("recv " + raw->describe());
+    trace("recv ", *raw);
     msg.release();
     std::unique_ptr<CoherenceMsg> cm(raw);
 

@@ -229,7 +229,15 @@ class DirController : public SimObject, public MessageConsumer
         bool dirtyUp = false;    ///< dirtiness the Unblock carried
     };
 
-    void trace(const std::string &s);
+    /** Emit "<name>: <args...>" to the trace sink. The arguments are
+     *  formatted only when a sink is installed. */
+    template <typename... Args>
+    void
+    trace(const Args &...args)
+    {
+        if (trace_)
+            trace_(detail::concat(name(), ": ", args...));
+    }
     std::unique_ptr<CoherenceMsg> make(MsgType t, Addr addr, NodeId dst);
     void send(std::unique_ptr<CoherenceMsg> msg);
 

@@ -143,7 +143,7 @@ L1Controller::onReqTimeout(std::uint64_t epoch)
         return; // give up; the watchdog will report the stall
     ++req_->attempts;
     ++retries_;
-    trace("reissue " + std::string(msgTypeName(req_->issuedType)));
+    trace("reissue ", msgTypeName(req_->issuedType));
     auto msg = make(req_->issuedType, req_->addr, parent_);
     msg->globalRequester = nodeId_;
     msg->serial = req_->serial;
@@ -175,7 +175,7 @@ L1Controller::onPutTimeout(Addr addr, std::uint64_t epoch)
         return;
     ++pp.attempts;
     ++retries_;
-    trace("reissue " + std::string(msgTypeName(pp.type)));
+    trace("reissue ", msgTypeName(pp.type));
     auto msg = make(pp.type, addr, parent_);
     msg->dirty = pp.dirty;
     if (pp.dirty)
@@ -205,13 +205,6 @@ L1Controller::recallAckDirty(Addr addr) const
     return false;
 }
 
-void
-L1Controller::trace(const std::string &s)
-{
-    if (trace_)
-        trace_(name() + ": " + s);
-}
-
 std::unique_ptr<CoherenceMsg>
 L1Controller::make(MsgType t, Addr addr, NodeId dst)
 {
@@ -223,7 +216,7 @@ L1Controller::send(std::unique_ptr<CoherenceMsg> msg)
 {
     if (msg->type == MsgType::Data)
         msg->fromCache = true;
-    trace("send " + msg->describe());
+    trace("send ", *msg);
     net_.deliver(std::move(msg));
 }
 
@@ -455,10 +448,10 @@ L1Controller::deliver(MessagePtr msg)
     neo_assert(cm != nullptr, name(), ": non-coherence message");
     if (resilient_ && cm->msgId != 0 && dedup_.seen(cm->msgId)) {
         ++dupDrops_;
-        trace("dup-drop " + cm->describe());
+        trace("dup-drop ", *cm);
         return;
     }
-    trace("recv " + cm->describe());
+    trace("recv ", *cm);
     const L1State pre = blockState(cm->addr);
     switch (cm->type) {
       case MsgType::Data:

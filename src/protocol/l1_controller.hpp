@@ -172,7 +172,15 @@ class L1Controller : public SimObject, public MessageConsumer
         unsigned attempts = 0;             ///< issues so far
     };
 
-    void trace(const std::string &s);
+    /** Emit "<name>: <args...>" to the trace sink. The arguments are
+     *  formatted only when a sink is installed. */
+    template <typename... Args>
+    void
+    trace(const Args &...args)
+    {
+        if (trace_)
+            trace_(detail::concat(name(), ": ", args...));
+    }
     void send(std::unique_ptr<CoherenceMsg> msg);
     std::unique_ptr<CoherenceMsg> make(MsgType t, Addr addr, NodeId dst);
 

@@ -3,34 +3,27 @@
 namespace neo
 {
 
-class EventQueue::FunctionEvent : public Event
-{
-  public:
-    explicit FunctionEvent(std::function<void()> fn) : fn_(std::move(fn)) {}
-
-    void
-    process() override
-    {
-        fn_();
-    }
-
-  private:
-    std::function<void()> fn_;
-};
-
 EventQueue::~EventQueue()
 {
-    // Drain the heap, freeing any owned one-shot wrappers that never
-    // fired. Caller-owned events are left alone.
-    while (!queue_.empty()) {
-        Entry e = queue_.top();
-        queue_.pop();
-        if (e.generation == e.ev->generation_ && e.ev->scheduled_) {
-            e.ev->scheduled_ = false;
-            if (auto *fe = dynamic_cast<FunctionEvent *>(e.ev))
-                delete fe;
-        }
+    // Destroy the callables of one-shots that never fired. Only pooled
+    // nodes are touched: caller-owned events are left alone.
+    for (OneShot &node : pool_) {
+        if (node.scheduled_)
+            node.call(node.buf, false);
     }
+}
+
+EventQueue::OneShot *
+EventQueue::acquire()
+{
+    if (free_ == nullptr) {
+        OneShot &node = pool_.emplace_back();
+        node.owned_ = true;
+        return &node;
+    }
+    OneShot *node = free_;
+    free_ = node->nextFree;
+    return node;
 }
 
 void
@@ -60,12 +53,6 @@ EventQueue::deschedule(Event *ev)
     --live_;
 }
 
-void
-EventQueue::schedule(Tick when, std::function<void()> fn)
-{
-    schedule(new FunctionEvent(std::move(fn)), when);
-}
-
 bool
 EventQueue::runOne()
 {
@@ -80,10 +67,13 @@ EventQueue::runOne()
         --live_;
         ++processed_;
         Event *ev = e.ev;
+        const bool owned = ev->owned_;
         ev->process();
-        if (auto *fe = dynamic_cast<FunctionEvent *>(ev)) {
-            if (!fe->scheduled())
-                delete fe;
+        if (owned) {
+            // The callable ran and is destroyed; recycle the node.
+            auto *node = static_cast<OneShot *>(ev);
+            node->nextFree = free_;
+            free_ = node;
         }
         return true;
     }

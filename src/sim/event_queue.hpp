@@ -6,14 +6,24 @@
  * same-tick events run in a deterministic FIFO order. Controllers and
  * the network schedule work by posting events; the kernel owns global
  * simulated time.
+ *
+ * One-shot callables (schedule(tick, fn)) live inside pooled nodes the
+ * queue owns: the callable is built in the node's inline buffer, run,
+ * destroyed, and the node goes back to a free list. Steady-state
+ * scheduling therefore allocates nothing.
  */
 
 #ifndef NEO_SIM_EVENT_QUEUE_HPP
 #define NEO_SIM_EVENT_QUEUE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <new>
 #include <queue>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -46,6 +56,8 @@ class Event
     friend class EventQueue;
 
     bool scheduled_ = false;
+    /** A pooled one-shot node owned by the queue. */
+    bool owned_ = false;
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t generation_ = 0;
@@ -57,6 +69,9 @@ class Event
 class EventQueue
 {
   public:
+    /** Largest one-shot callable schedule(tick, fn) accepts. */
+    static constexpr std::size_t oneShotBytes = 48;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -75,10 +90,12 @@ class EventQueue
     void deschedule(Event *ev);
 
     /**
-     * Schedule a one-shot callable at absolute time @p when. The queue
-     * owns the wrapper and frees it after it fires.
+     * Schedule a one-shot callable at absolute time @p when. The
+     * callable is moved into a pooled node and destroyed right after
+     * it runs (or with the queue, if it never does).
      */
-    void schedule(Tick when, std::function<void()> fn);
+    template <typename F>
+    void schedule(Tick when, F &&fn);
 
     /** True when no events are pending. */
     bool empty() const { return live_ != 0 ? false : true; }
@@ -126,17 +143,55 @@ class EventQueue
         }
     };
 
-    /** One-shot lambda adapter owned by the queue. */
-    class FunctionEvent;
+    /** A pooled node holding one one-shot callable in place. */
+    class OneShot final : public Event
+    {
+      public:
+        /** Runs the callable (if @p run) and destroys it. */
+        using CallFn = void (*)(void *buf, bool run);
+
+        void process() override { call(buf, true); }
+
+        alignas(std::max_align_t) unsigned char buf[oneShotBytes];
+        CallFn call = nullptr;
+        OneShot *nextFree = nullptr;
+    };
+
+    /** A free node, from the free list or freshly pooled. */
+    OneShot *acquire();
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
         queue_;
+    /** Every one-shot node ever made; a deque keeps them in place. */
+    std::deque<OneShot> pool_;
+    OneShot *free_ = nullptr;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t live_ = 0;
     std::uint64_t processed_ = 0;
     bool stopRequested_ = false;
 };
+
+template <typename F>
+void
+EventQueue::schedule(Tick when, F &&fn)
+{
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= oneShotBytes,
+                  "one-shot callable exceeds EventQueue::oneShotBytes; "
+                  "capture less, or capture a pointer");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "one-shot callable is over-aligned");
+    OneShot *node = acquire();
+    ::new (static_cast<void *>(node->buf)) Fn(std::forward<F>(fn));
+    node->call = [](void *buf, bool run) {
+        Fn &f = *std::launder(static_cast<Fn *>(buf));
+        if (run)
+            f();
+        f.~Fn();
+    };
+    schedule(node, when);
+}
 
 } // namespace neo
 

@@ -2,12 +2,18 @@
  * @file
  * Tests for the system builder and experiment runner: the Figure 7
  * organizations, arbitrary-tree construction, leaf-level directory
- * classification, multi-trial statistics, and deadlock-freedom of the
- * verification models (detect_deadlock mode).
+ * classification, multi-trial statistics, deadlock-freedom of the
+ * verification models (detect_deadlock mode), and golden pins of the
+ * simulator's outputs and trace stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+
+#include "core/core_model.hpp"
 #include "core/sim_runner.hpp"
 #include "test_util.hpp"
 #include "verif/explorer.hpp"
@@ -139,6 +145,102 @@ TEST(SimRunner, ProtocolsSeeSameWorkload)
         EXPECT_EQ(r.l1Hits + r.l1Misses + r.l1Upgrades,
                   300u * 4u);
     }
+}
+
+/** One simulator golden: canneal, 300 ops/core, seed 1. */
+struct SimGolden
+{
+    const char *org;
+    ProtocolVariant protocol;
+    Tick ticks;
+    std::uint64_t messages, hits, misses;
+};
+
+/** Print a row as "org/protocol", so no pointer lands in a test name. */
+void
+PrintTo(const SimGolden &g, std::ostream *os)
+{
+    *os << g.org << "/" << protocolName(g.protocol);
+}
+
+class SimGoldens : public ::testing::TestWithParam<SimGolden>
+{
+};
+
+TEST_P(SimGoldens, RunOnceMatchesPinnedCounts)
+{
+    // Any change to event order, routing or protocol behaviour moves
+    // these; host-side optimizations of the simulator must not.
+    const SimGolden &g = GetParam();
+    RunConfig cfg;
+    cfg.opsPerCore = 300;
+    cfg.seed = 1;
+    const RunResult r = runOnce(organizationByName(g.org, g.protocol),
+                                parsecProfile("canneal"), cfg);
+    EXPECT_FALSE(r.deadlocked);
+    EXPECT_TRUE(r.violations.empty());
+    EXPECT_EQ(r.runtime, g.ticks);
+    EXPECT_EQ(r.networkMessages, g.messages);
+    EXPECT_EQ(r.l1Hits, g.hits);
+    EXPECT_EQ(r.l1Misses, g.misses);
+}
+
+using PV = ProtocolVariant;
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrgsAllProtocols, SimGoldens,
+    ::testing::Values(
+        SimGolden{"2perL2", PV::TreeMSI, 1353813, 59643, 265, 9252},
+        SimGolden{"2perL2", PV::NeoMESI, 1353813, 59635, 345, 9252},
+        SimGolden{"2perL2", PV::NSMESI, 1353813, 50196, 345, 9252},
+        SimGolden{"2perL2", PV::NSMOESI, 1353813, 49814, 345, 9252},
+        SimGolden{"8perL2", PV::TreeMSI, 1353813, 59092, 265, 9252},
+        SimGolden{"8perL2", PV::NeoMESI, 1353813, 58945, 345, 9252},
+        SimGolden{"8perL2", PV::NSMESI, 1353813, 49751, 345, 9252},
+        SimGolden{"8perL2", PV::NSMOESI, 1353813, 49354, 345, 9252},
+        SimGolden{"skewed", PV::TreeMSI, 1353813, 58898, 265, 9252},
+        SimGolden{"skewed", PV::NeoMESI, 1353813, 58672, 345, 9252},
+        SimGolden{"skewed", PV::NSMESI, 1353813, 49589, 345, 9252},
+        SimGolden{"skewed", PV::NSMOESI, 1353813, 49192, 345, 9252}),
+    [](const ::testing::TestParamInfo<SimGolden> &info) {
+        std::string name = std::string(info.param.org) + "_" +
+                           protocolName(info.param.protocol);
+        std::erase(name, '-');
+        return name;
+    });
+
+TEST(SimTrace, StreamMatchesPinnedDigest)
+{
+    // Every send/recv line of a small run, tick-stamped as
+    // NEO_TRACE_ADDR prints them, folded into one FNV-1a digest.
+    EventQueue eventq;
+    System system(organizationByName("2perL2", ProtocolVariant::NeoMESI),
+                  eventq);
+    std::uint64_t lines = 0;
+    std::uint64_t digest = 14695981039346656037ULL;
+    system.setTrace([&](const std::string &line) {
+        ++lines;
+        for (unsigned char c :
+             std::to_string(eventq.curTick()) + " " + line + "\n") {
+            digest ^= c;
+            digest *= 1099511628211ULL;
+        }
+    });
+    WorkloadGen gen(parsecProfile("canneal"), 32, 64, 1);
+    std::vector<std::unique_ptr<CoreModel>> cores;
+    unsigned finished = 0;
+    for (unsigned c = 0; c < 32; ++c) {
+        cores.push_back(std::make_unique<CoreModel>(
+            "core_" + std::to_string(c), eventq, c, system.l1(c), gen, 100,
+            [&finished](CoreId) { ++finished; }));
+    }
+    for (auto &core : cores)
+        core->start();
+    eventq.run();
+    EXPECT_EQ(finished, 32u);
+    EXPECT_EQ(eventq.curTick(), 488508u);
+    EXPECT_EQ(lines, 38682u);
+    EXPECT_EQ(digest, 0xc6ac95dbb8e348afULL);
 }
 
 TEST(VerifModels, DeadlockFree)

@@ -140,6 +140,33 @@ TEST(CacheArray, ReconstructedAddressesRoundTrip)
     EXPECT_EQ(matched, 4u);
 }
 
+TEST(CacheArray, TopTagSitsBesideTheInvalidSentinel)
+{
+    // Free ways hold an all-ones tag. The highest block address has a
+    // tag of all ones below the dropped offset and index bits, one step
+    // from that sentinel: it must allocate, hit, round-trip and erase
+    // like any other block, and its set must still report free ways.
+    CacheArray<Meta> c(smallGeom());
+    const Addr top = ~Addr{0} << 6;
+    ASSERT_EQ(c.addressMap().tag(top), ~Addr{0} >> 8);
+    EXPECT_EQ(c.find(top), nullptr);
+    c.allocate(top).v = 9;
+    ASSERT_NE(c.find(top), nullptr);
+    EXPECT_EQ(c.peek(top)->v, 9);
+    EXPECT_TRUE(c.hasFreeWay(top));
+    EXPECT_EQ(c.find(top - 4 * 64), nullptr); // same set, other tag
+    Addr seen = 0;
+    c.forEach([&](Addr a, Meta &) { seen = a; });
+    EXPECT_EQ(seen, top);
+    auto victim =
+        c.victimFor(top, [](Addr, const Meta &) { return true; });
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(*victim, top);
+    c.erase(top);
+    EXPECT_EQ(c.find(top), nullptr);
+    EXPECT_EQ(c.occupancy(), 0u);
+}
+
 TEST(Dram, SerializesBackToBackAccesses)
 {
     DramModel dram(1 << 20, 100);

@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event ordering, cancellation,
- * limits, RNG determinism and distribution sanity, statistics.
+ * limits, pooled one-shot lifetimes, RNG determinism and distribution
+ * sanity, statistics.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -97,6 +101,93 @@ TEST(EventQueue, DescheduleCancels)
     q.schedule(&ev, 20);
     q.run();
     EXPECT_EQ(ev.count, 1);
+}
+
+/** Counts how many of its copies are destroyed; moved-from shells do
+ *  not count, so each scheduled callable counts once. */
+struct DtorCounter
+{
+    explicit DtorCounter(int *dtors, int *calls)
+        : dtors_(dtors), calls_(calls)
+    {
+    }
+    DtorCounter(DtorCounter &&o) noexcept
+        : dtors_(std::exchange(o.dtors_, nullptr)), calls_(o.calls_)
+    {
+    }
+    DtorCounter(const DtorCounter &) = delete;
+    ~DtorCounter()
+    {
+        if (dtors_ != nullptr)
+            ++*dtors_;
+    }
+    void operator()() { ++*calls_; }
+
+    int *dtors_;
+    int *calls_;
+};
+
+TEST(EventQueue, OneShotIsDestroyedOnceWhenItFires)
+{
+    int dtors = 0, calls = 0;
+    {
+        EventQueue q;
+        q.schedule(5, DtorCounter(&dtors, &calls));
+        EXPECT_EQ(dtors, 0);
+        q.run();
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(dtors, 1); // right after it ran, not with the queue
+    }
+    EXPECT_EQ(dtors, 1);
+}
+
+TEST(EventQueue, PendingOneShotIsDestroyedOnceWithTheQueue)
+{
+    int dtors = 0, calls = 0;
+    {
+        EventQueue q;
+        q.schedule(5, DtorCounter(&dtors, &calls));
+        q.schedule(500, DtorCounter(&dtors, &calls));
+        q.run(100);
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(dtors, 1);
+        EXPECT_EQ(q.pending(), 1u);
+    }
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(dtors, 2);
+}
+
+TEST(EventQueue, OneShotMaySchedulePastRecycledNodes)
+{
+    // Each one-shot schedules the next from inside its own call, while
+    // earlier nodes are back on the free list; a capture that landed
+    // in the wrong node would break the countdown or the tick trail.
+    EventQueue q;
+    std::vector<Tick> ticks;
+    std::function<void(int)> step = [&](int left) {
+        ticks.push_back(q.curTick());
+        if (left == 0)
+            return;
+        q.schedule(q.curTick() + 3, [&step, left] { step(left - 1); });
+        q.schedule(q.curTick() + 1, [&ticks] { ticks.push_back(0); });
+    };
+    q.schedule(0, [&step] { step(20); });
+    EXPECT_EQ(q.run(), 41u);
+    ASSERT_EQ(ticks.size(), 41u);
+    for (std::size_t i = 0; i < 21; ++i)
+        EXPECT_EQ(ticks[2 * i], 3 * i) << "step " << i;
+    for (std::size_t i = 1; i < 41; i += 2)
+        EXPECT_EQ(ticks[i], 0u);
+}
+
+TEST(EventQueue, MoveOnlyCaptureFiresAndFrees)
+{
+    EventQueue q;
+    int got = 0;
+    auto box = std::make_unique<int>(7);
+    q.schedule(1, [&got, b = std::move(box)] { got = *b; });
+    q.run();
+    EXPECT_EQ(got, 7);
 }
 
 TEST(Random, DeterministicPerSeed)
