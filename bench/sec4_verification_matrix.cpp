@@ -211,11 +211,11 @@ main()
                     owned.detail.c_str());
     }
 
-    // --- serial vs sharded-parallel exploration on the matrix's
+    // --- serial vs parallel exploration on the matrix's
     // largest verified instance. The fixpoint state count must be
     // identical for every thread count (the differential guarantee);
     // wall-clock improves with threads on multicore hardware.
-    std::printf("\n[parallel] serial vs sharded exploration, NeoMESI "
+    std::printf("\n[parallel] serial vs parallel exploration, NeoMESI "
                 "open N=%zu (%u hardware threads):\n",
                 matrixN, std::thread::hardware_concurrency());
     {

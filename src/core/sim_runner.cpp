@@ -1,7 +1,8 @@
 #include "sim_runner.hpp"
 
-#include <iostream>
+#include <charconv>
 #include <cstdlib>
+#include <iostream>
 #include <memory>
 #include <sstream>
 
@@ -33,11 +34,10 @@ runOnce(const HierarchySpec &spec, const WorkloadParams &workload,
     // for replaying a fault campaign's postmortem one address at a
     // time.
     if (const char *ta = std::getenv("NEO_TRACE_ADDR")) {
-        std::ostringstream os;
-        os << "0x" << std::hex << std::strtoull(ta, nullptr, 0);
-        system.setTrace([&eventq, want = os.str()](
+        system.setTrace([&eventq, want = Addr{std::strtoull(
+                                      ta, nullptr, 0)}](
                             const std::string &line) {
-            if (line.find(want) != std::string::npos)
+            if (traceLineHasAddr(line, want))
                 std::cerr << eventq.curTick() << " " << line << "\n";
         });
     }
@@ -188,6 +188,20 @@ runOnce(const HierarchySpec &spec, const WorkloadParams &workload,
         group.print(std::cout);
     }
     return result;
+}
+
+bool
+traceLineHasAddr(std::string_view line, Addr addr)
+{
+    // "addr=0x", at most 16 hex digits, then the closing space.
+    char needle[24] = "addr=0x";
+    char *end =
+        std::to_chars(needle + 7, needle + sizeof(needle) - 1, addr, 16)
+            .ptr;
+    *end++ = ' ';
+    return line.find(std::string_view(
+               needle, static_cast<std::size_t>(end - needle))) !=
+           std::string_view::npos;
 }
 
 int

@@ -10,6 +10,7 @@
 #define NEO_CORE_SIM_RUNNER_HPP
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/system.hpp"
@@ -100,6 +101,14 @@ struct RunConfig
 /** Execute one simulation to completion. */
 RunResult runOnce(const HierarchySpec &spec,
                   const WorkloadParams &workload, const RunConfig &cfg);
+
+/**
+ * The NEO_TRACE_ADDR filter: does controller trace @p line carry block
+ * @p addr? A message's describe() prints it as "addr=0x<hex> ", so a
+ * block whose address merely starts with the same digits (0x40fcc0
+ * for 0x40) does not match.
+ */
+bool traceLineHasAddr(std::string_view line, Addr addr);
 
 /**
  * Process exit code for one run: 1 = coherence violation,

@@ -4,12 +4,10 @@
  *
  * Consistency contract with the parallel explorer's frontiers: a
  * snapshot is only serialized at a pause rendezvous, when every
- * worker is parked at the top of its loop holding no work item — so
- * all in-flight work sits in the per-worker queues, and draining them
- * (SpillFrontier::forEach, which walks the lock-free ring AND its
- * spill deque) together with the shard stores yields a consistent
- * cut. The ring's forEach is only legal at such
- * quiescent points (mpmc_ring.hpp); the rendezvous is what grants it.
+ * worker has flushed its partial successor batches, interned every
+ * batch still in transit and parked at the top of its loop — so each
+ * unexpanded state sits in its owner's frontier, and the owners'
+ * stores and frontiers together form a consistent cut.
  *
  * Model fingerprints cover the initial state bytes, variable names,
  * rule names/kinds and invariant names — NOT the guard/effect

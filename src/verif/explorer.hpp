@@ -39,8 +39,8 @@ struct ExploreLimits
      *  (the paper's 50 GB analogue); 0 = unbounded. */
     std::uint64_t maxMemoryBytes = 0;
     /** Worker threads. 1 runs the sequential BFS below; >1 runs the
-     *  sharded parallel explorer (parallel_explorer.hpp), which
-     *  reaches the same fixpoint with the same state/transition
+     *  owner-partitioned parallel explorer (parallel_explorer.hpp),
+     *  which reaches the same fixpoint with the same state/transition
      *  counts but may report a different (equally valid)
      *  counterexample trace. */
     unsigned threads = 1;
@@ -50,15 +50,16 @@ struct ExploreLimits
      *  Interrupted), degrades gracefully under memory pressure, and
      *  can resume an earlier snapshot to the identical fixpoint. */
     const CheckpointConfig *checkpoint = nullptr;
-    /** Test-only state-hash override (forced-collision suites), used
-     *  by both engines wherever they hash a state; nullptr uses
-     *  stateHash(). */
+    /** Test-only state-hash override (forced-collision and
+     *  skewed-ownership suites), used by both engines wherever they
+     *  hash a state, and by the parallel one to pick each state's
+     *  owner; nullptr uses stateHash(). */
     StateStore::HashFn hash = nullptr;
 };
 
 /** Hash functor over state bytes, delegating to stateHash()
  *  (state_store.hpp) so `unordered_*<VState, …>` containers agree
- *  with the StateStore fingerprints and shard selection. */
+ *  with the StateStore fingerprints and parallel ownership. */
 struct VStateHash
 {
     std::size_t
@@ -130,8 +131,8 @@ struct ExploreResult
 };
 
 /**
- * Run reachability: BFS when limits.threads == 1, the sharded
- * parallel explorer otherwise.
+ * Run reachability: BFS when limits.threads == 1, the
+ * owner-partitioned parallel explorer otherwise.
  *
  * @param ts the model
  * @param limits bounds; exceeding them yields LimitExceeded

@@ -5,7 +5,7 @@
  *
  * A verifier that has never caught a bug proves nothing (the
  * "detect seeded faults" discipline): every mutant here must be
- * flagged by exhaustive BFS, by the sharded parallel explorer, AND by
+ * flagged by exhaustive BFS, by the parallel explorer, AND by
  * the random-walk falsifier under its documented seed/budget, while
  * every unmutated bundled model survives the same budgets clean —
  * tests/test_random_walk.cpp enforces exactly that.

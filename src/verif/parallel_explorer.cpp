@@ -4,15 +4,14 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "verif/checkpoint.hpp"
-#include "verif/mpmc_ring.hpp"
 #include "verif/state_store.hpp"
 
 namespace neo
@@ -21,62 +20,78 @@ namespace neo
 namespace
 {
 
-/** Shard count; a power of two so the hash folds with a mask. */
-constexpr std::size_t kShardCount = 64;
+/** Successor records per handoff batch. */
+constexpr std::size_t kBatchRecords = 64;
 
-/** Spill-deque block + bookkeeping slack charged per work queue in
- *  the memory estimate, so N queues' standing overhead counts against
- *  maxMemoryBytes even when nearly empty. */
-constexpr std::uint64_t kQueueSlackBytes = 4096;
+/** One successor on its way to the worker that owns it. */
+struct Succ
+{
+    std::uint64_t parent; ///< packed (owner, local id) of the predecessor
+    std::uint64_t hash;
+    std::uint32_t rule;
+    std::uint32_t depth;
+};
 
-/** Per-worker MPMC ring capacity (cells). Sized so steady-state
- *  frontier traffic stays inside the lock-free ring; bursts beyond it
- *  overflow into the worker's mutex-guarded spill deque instead of
- *  blocking the producer (mpmc_ring.hpp). */
-constexpr std::size_t kRingCapacity = 8192;
+/** Up to kBatchRecords successors from one sender to one owner; the
+ *  state bytes lie stride apart in `bytes`. The receiver hands an
+ *  emptied batch back to its sender for reuse. */
+struct Batch
+{
+    Batch(unsigned from, std::size_t stride)
+        : sender(from), bytes(kBatchRecords * stride)
+    {
+    }
+
+    unsigned sender;
+    std::uint32_t n = 0;
+    std::array<Succ, kBatchRecords> recs;
+    std::vector<std::uint8_t> bytes;
+};
+
+/** A frontier entry: the owner's local id and its BFS depth. */
+struct Item
+{
+    std::uint32_t id;
+    std::uint32_t depth;
+};
+
+/** A predecessor link; its parent is a packed (owner, local) id. */
+using Link = ExploreSnapshot::Link;
 
 /**
- * One slice of the visited set: states whose canonical hash folds to
- * this shard, arena-interned with shard-local ids. The predecessor
- * links (trace rebuilding; keep_trace only) are parallel flat arrays
- * indexed by that local id — what used to be a per-state Record node
- * behind an unordered_map.
+ * Everything one worker owns: the states whose hash maps to it, their
+ * predecessor links (keep_trace only; indexed by local id), its FIFO
+ * frontier and the batches it fills for every owner.
+ * Only the owning thread touches these, except at a quiescent
+ * rendezvous and after the join. The inbox block at the end is what
+ * other workers write, on its own cache line.
  */
-struct Shard
+struct alignas(64) Worker
 {
-    std::mutex mu;
     std::unique_ptr<StateStore> store;
-    std::vector<std::uint64_t> parents; ///< packed (shard, index)
-    std::vector<std::uint32_t> ruleOf;
-    std::vector<std::uint32_t> depthOf;
-};
+    std::vector<Link> links;
+    std::vector<Item> frontier;
+    std::size_t head = 0;
+    /** The batch being filled for each owner (nullptr: none yet). */
+    std::vector<Batch *> out;
+    /** Emptied batches ready for reuse. */
+    std::vector<Batch *> spare;
+    /** Every batch this worker allocated; they live for the run. */
+    std::vector<std::unique_ptr<Batch>> batches;
+    /** Footprint last added to the shared estimate. */
+    std::uint64_t published = 0;
 
-/** A frontier entry is the packed id + BFS depth; the state bytes
- *  stay in the owning shard's arena and are re-read at expansion
- *  time (see the store's lock-free copyTo() contract). Trivially
- *  copyable, so a ring cell holds it with no heap indirection. */
-struct WorkItem
-{
-    std::uint64_t id = 0;
-    std::uint32_t depth = 0;
-};
-
-static_assert(std::is_trivially_copyable_v<WorkItem>);
-
-/** The frontier: a bounded lock-free MPMC ring with a spill deque for
- *  overflow (default-constructible so one queue per worker builds as
- *  a plain vector). Owner pops and thieves steal from the same ring —
- *  the ring is FIFO, so expansion order stays approximately
- *  breadth-first. */
-struct RingQueue : SpillFrontier<WorkItem>
-{
-    RingQueue() : SpillFrontier<WorkItem>(kRingCapacity) {}
+    alignas(64) std::mutex mu;
+    std::vector<Batch *> inbox;    ///< full batches for this owner
+    std::vector<Batch *> returned; ///< this worker's emptied batches
+    /** inbox is non-empty; a hint read without mu. */
+    std::atomic<bool> mail{false};
 };
 
 inline std::uint64_t
-packId(std::size_t shard, std::uint32_t local)
+packId(unsigned owner, std::uint32_t local)
 {
-    return (static_cast<std::uint64_t>(shard) << 32) | local;
+    return (static_cast<std::uint64_t>(owner) << 32) | local;
 }
 
 } // namespace
@@ -90,15 +105,13 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     const auto t0 = Clock::now();
     const unsigned nthreads = limits.threads > 1 ? limits.threads : 2;
     const std::size_t numVars = ts.numVars();
+    const std::size_t stride = numVars == 0 ? 1 : numVars;
 
     ExploreResult result;
     const auto &rules = ts.rules();
     const auto &invs = ts.invariants();
-    // Flat guard/effect tables (transition_system.hpp): rule firing
-    // below goes through this instead of the per-rule std::function
-    // objects, eliminating virtual dispatch on the hot path. Built
-    // once here, shared read-only by every worker, like the
-    // candidate table that picks the guards worth evaluating.
+    // Flat guard/effect tables and the candidate table, built once
+    // and shared read-only by every worker.
     const CompiledRules comp(ts);
     const RuleDepIndex index(ts);
     const std::size_t R = rules.size();
@@ -113,7 +126,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         ckptActive ? modelFingerprint(ts) : 0;
     double baseSeconds = 0.0;
 
-    // The test-only hash override (ExploreLimits::hash) picks shards
+    // The test-only hash override (ExploreLimits::hash) picks owners
     // and fingerprints alike; the null branch keeps stateHash inlined
     // on the default path.
     const StateStore::HashFn hashOverride = limits.hash;
@@ -121,18 +134,17 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         return hashOverride != nullptr ? hashOverride(p, numVars)
                                        : stateHash(p, numVars);
     };
+    auto ownerOf = [nthreads](std::uint64_t h) {
+        return static_cast<unsigned>(h % nthreads);
+    };
 
     const std::uint64_t presize = explorePresizeHint(limits);
-    std::vector<Shard> shards(kShardCount);
-    for (auto &sh : shards)
-        sh.store = std::make_unique<StateStore>(
-            numVars, presize / kShardCount, limits.hash);
-    std::vector<RingQueue> queues(nthreads);
-    // Standing queue footprint (ring cell arrays + slack), fixed for
-    // the run, charged once in the memory estimate below.
-    std::uint64_t queueFixedBytes = 0;
-    for (const auto &q : queues)
-        queueFixedBytes += kQueueSlackBytes + q.memoryBytes();
+    std::vector<Worker> workers(nthreads);
+    for (Worker &w : workers) {
+        w.store = std::make_unique<StateStore>(
+            numVars, presize / nthreads, limits.hash);
+        w.out.assign(nthreads, nullptr);
+    }
 
     std::atomic<std::uint64_t> statesTotal{0};
     // Firing and invariant counters: each worker counts in locals and
@@ -143,12 +155,16 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     std::atomic<std::uint64_t> guardSkippedTotal{0};
     std::atomic<std::uint64_t> identityHitsTotal{0};
     std::vector<std::atomic<std::uint64_t>> ruleFires(rules.size());
-    /** Aggregate arena + table footprint across shards, maintained by
-     *  delta under each shard's mutex so the memory-bound check reads
-     *  one atomic instead of locking 64 shards. */
-    std::atomic<std::uint64_t> storeBytes{0};
-    /** Queued + currently-expanding items; 0 means the fixpoint. */
-    std::atomic<std::uint64_t> inFlight{0};
+    /** Sum of the workers' published store + frontier footprints,
+     *  updated once per interned batch, so the memory bound reads one
+     *  atomic. */
+    std::atomic<std::uint64_t> footprint{0};
+    std::atomic<std::uint64_t> batchesLive{0};
+    /** Active workers plus batches in transit; 0 is the fixpoint. A
+     *  sender counts a batch before the owner can see it, and the
+     *  owner uncounts it only after interning it as an active worker,
+     *  so the count cannot touch 0 while work exists anywhere. */
+    std::atomic<std::uint64_t> pending{nthreads};
     std::atomic<bool> stop{false};
     /** Runtime keep_trace; cleared when memory pressure sheds the
      *  predecessor links mid-run. */
@@ -156,13 +172,15 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     bool degradedTrace = false; // mutated only at safe points
 
     // Checkpoint rendezvous: worker 0 (the coordinator) raises
-    // pauseRequested; every other live worker parks at the top of its
-    // loop, which guarantees no expansion is in progress — every
-    // in-flight item sits in some queue, so shards + queues + the
-    // counters form a consistent cut to serialize.
+    // pauseRequested. Every worker then stops expanding, flushes its
+    // partial batches and counts itself in `flushed`; once all have,
+    // nothing is sent any more, so each interns its inbox once and
+    // parks. The stores, frontiers and counters then form a
+    // consistent cut with no batch in transit.
     std::atomic<bool> pauseRequested{false};
+    std::atomic<unsigned> flushed{0};
     std::atomic<unsigned> pausedCount{0};
-    std::atomic<unsigned> alive{0};
+    std::atomic<unsigned> alive{nthreads};
 
     // Terminal outcome. A violation or deadlock beats a bound; among
     // violations discovered by different workers the smallest
@@ -183,28 +201,34 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                std::chrono::duration<double>(Clock::now() - t0).count();
     };
 
-    // Same accounting as the sequential explorer: the measured arena
-    // + table aggregate (each shard's memoryBytes() already counts
-    // its StateStore header), the flat predecessor arrays, the
-    // frontier, the standing shard/queue structures and — when
-    // checkpointing — the snapshot serialization buffer, so the bound
-    // holds on the robust path too.
+    // Same accounting as the sequential explorer: the measured stores,
+    // the flat predecessor arrays, the frontiers, the batch buffers,
+    // the worker structures and — when checkpointing — the snapshot
+    // serialization buffer, so the bound holds on the robust path too.
+    const std::uint64_t perFrontier =
+        sizeof(Item) + (ckptActive ? numVars + 12 : 0);
+    const std::uint64_t batchBytes =
+        sizeof(Batch) + kBatchRecords * stride;
     auto estimate_memory = [&]() -> std::uint64_t {
         const bool tracing = traceOn.load(std::memory_order_relaxed);
         const std::uint64_t per_trace = tracing ? 16 : 0;
-        const std::uint64_t per_frontier = sizeof(WorkItem);
         const std::uint64_t per_ckpt_state =
-            ckptActive ? numVars + (tracing ? 16 : 0) : 0;
-        const std::uint64_t per_ckpt_frontier =
-            ckptActive ? numVars + 12 : 0;
-        const std::uint64_t structural =
-            kShardCount * sizeof(Shard) + queueFixedBytes;
-        return storeBytes.load(std::memory_order_relaxed) +
+            ckptActive ? numVars + per_trace : 0;
+        return footprint.load(std::memory_order_relaxed) +
                statesTotal.load(std::memory_order_relaxed) *
                    (per_trace + per_ckpt_state) +
-               inFlight.load(std::memory_order_relaxed) *
-                   (per_frontier + per_ckpt_frontier) +
-               structural;
+               batchesLive.load(std::memory_order_relaxed) *
+                   batchBytes +
+               nthreads * sizeof(Worker);
+    };
+    auto publish = [&](Worker &w) {
+        const std::uint64_t now =
+            w.store->memoryBytes() +
+            (w.frontier.size() - w.head) * perFrontier;
+        if (now != w.published)
+            footprint.fetch_add(now - w.published,
+                                std::memory_order_relaxed);
+        w.published = now;
     };
 
     // Index of the first invariant @p s violates, or -1; adds the
@@ -262,11 +286,9 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     };
 
     // Serialize the paused run into the canonical explore-snapshot
-    // layout: states shard-major in local-insertion order, packed ids
+    // layout: states owner-major in local-insertion order, packed ids
     // remapped onto dense indices, streamed straight out of the
-    // arenas. Caller guarantees quiescence; the per-shard lock/unlock
-    // while sizing the prefix table establishes the happens-before
-    // edge with every past writer of that shard.
+    // arenas. Caller guarantees quiescence.
     auto write_snapshot = [&]() {
         const bool tracing = traceOn.load(std::memory_order_relaxed);
         ExploreSnapshotMeta meta;
@@ -279,47 +301,47 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 ruleFires[r].load(std::memory_order_relaxed);
         meta.hasLinks = tracing;
 
-        std::array<std::uint64_t, kShardCount> prefix{};
+        std::vector<std::uint64_t> prefix(nthreads);
         std::uint64_t total = 0;
-        for (std::size_t sh = 0; sh < kShardCount; ++sh) {
-            prefix[sh] = total;
-            std::lock_guard<std::mutex> g(shards[sh].mu);
-            total += shards[sh].store->size();
+        for (unsigned w = 0; w < nthreads; ++w) {
+            prefix[w] = total;
+            total += workers[w].store->size();
         }
         meta.numStates = total;
         auto dense = [&](std::uint64_t packed) {
             return prefix[packed >> 32] + (packed & 0xffffffffULL);
         };
-        auto shardOf = [&](std::uint64_t denseId) {
-            std::size_t sh = kShardCount - 1;
-            while (prefix[sh] > denseId)
-                --sh;
-            return sh;
+        auto ownerOfDense = [&](std::uint64_t denseId) {
+            unsigned w = nthreads - 1;
+            while (prefix[w] > denseId)
+                --w;
+            return w;
         };
 
         auto linkAt = [&](std::uint64_t i) {
-            const std::size_t sh = shardOf(i);
+            const unsigned owner = ownerOfDense(i);
+            const Worker &w = workers[owner];
             const auto local =
-                static_cast<std::size_t>(i - prefix[sh]);
-            const std::uint32_t depth = shards[sh].depthOf[local];
-            return ExploreSnapshot::Link{
-                depth == 0 ? 0 : dense(shards[sh].parents[local]),
-                shards[sh].ruleOf[local], depth};
+                static_cast<std::size_t>(i - prefix[owner]);
+            const Link &l = w.links[local];
+            return Link{l.depth == 0 ? 0 : dense(l.parent), l.rule,
+                        l.depth};
         };
 
         std::vector<std::pair<std::uint64_t, std::uint32_t>> frontier;
-        for (auto &q : queues) {
-            q.forEach([&](const WorkItem &w) {
-                frontier.emplace_back(dense(w.id), w.depth);
-            });
+        for (unsigned w = 0; w < nthreads; ++w) {
+            const Worker &wk = workers[w];
+            for (std::size_t k = wk.head; k < wk.frontier.size(); ++k)
+                frontier.emplace_back(prefix[w] + wk.frontier[k].id,
+                                      wk.frontier[k].depth);
         }
         const std::vector<std::uint8_t> payload =
             encodeExploreSnapshotStreamed(
                 meta, numVars,
                 [&](std::uint64_t i) {
-                    const std::size_t sh = shardOf(i);
-                    return shards[sh].store->at(
-                        static_cast<std::uint32_t>(i - prefix[sh]));
+                    const unsigned w = ownerOfDense(i);
+                    return workers[w].store->at(
+                        static_cast<std::uint32_t>(i - prefix[w]));
                 },
                 linkAt, frontier.size(),
                 [&](std::uint64_t n) {
@@ -343,48 +365,48 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                               fingerprint, payload, err))
             neo_fatal("cannot resume: ", err);
         ExploreSnapshotMeta meta;
-        // Pass 1 (onState): shard-major reinsertion; the shard of a
-        // state is a pure hash, so each lands where the writer had
-        // it, and file order preserves the per-shard local indices.
-        // Pass 2 (onLink): predecessor links, parents remapped to
-        // packed ids (a parent's dense index may live in a later
-        // shard, hence the separate pass — the codec streams links
-        // only after every state).
+        // Pass 1 (onState): each state goes to the owner its hash
+        // names under this run's worker count, in file order, so
+        // every owner's local ids follow the dense order. Pass 2
+        // (onLink): predecessor links, parents remapped to packed
+        // ids (a parent may be interned by any owner, hence the
+        // separate pass — the codec streams links only after every
+        // state).
         std::vector<std::uint64_t> denseToPacked;
         bool tracing = false;
-        std::uint64_t nq = 0;
         VState scratch;
         auto beginStates = [&](std::uint64_t nStates) {
             tracing = keep_trace && meta.hasLinks;
             denseToPacked.resize(static_cast<std::size_t>(nStates));
-            for (auto &sh : shards)
-                sh.store->reserve(nStates / kShardCount);
+            for (Worker &w : workers)
+                w.store->reserve(nStates / nthreads);
         };
-        auto onLink = [&](std::uint64_t id,
-                          const ExploreSnapshot::Link &l) {
+        auto onLink = [&](std::uint64_t id, const Link &l) {
             if (!tracing)
                 return;
-            const std::size_t sh =
-                denseToPacked[static_cast<std::size_t>(id)] >> 32;
-            shards[sh].parents.push_back(
-                denseToPacked[static_cast<std::size_t>(l.parent)]);
-            shards[sh].ruleOf.push_back(l.rule);
-            shards[sh].depthOf.push_back(l.depth);
+            const std::uint64_t packed =
+                denseToPacked[static_cast<std::size_t>(id)];
+            workers[packed >> 32].links.push_back(Link{
+                denseToPacked[static_cast<std::size_t>(l.parent)], l.rule,
+                l.depth});
         };
         auto onFrontier = [&](std::uint64_t id, std::uint32_t depth,
                               const std::uint8_t *) {
-            queues[nq++ % nthreads].push(WorkItem{
-                denseToPacked[static_cast<std::size_t>(id)], depth});
+            const std::uint64_t packed =
+                denseToPacked[static_cast<std::size_t>(id)];
+            workers[packed >> 32].frontier.push_back(Item{
+                static_cast<std::uint32_t>(packed & 0xffffffffULL),
+                depth});
         };
         const bool okDecode = decodeExploreSnapshotStreamed(
             payload, numVars, rules.size(), meta, beginStates,
             [&](std::uint64_t id, const std::uint8_t *state) {
                 const std::uint64_t h = hashState(state);
-                const std::size_t sh = h & (kShardCount - 1);
+                const unsigned w = ownerOf(h);
                 const std::uint32_t local =
-                    shards[sh].store->internHashed(state, h).first;
+                    workers[w].store->internHashed(state, h).first;
                 denseToPacked[static_cast<std::size_t>(id)] =
-                    packId(sh, local);
+                    packId(w, local);
                 if (on_state) {
                     scratch.assign(state, state + numVars);
                     on_state(scratch);
@@ -404,7 +426,6 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             degradedTrace = true;
         }
         statesTotal.store(meta.numStates, std::memory_order_relaxed);
-        inFlight.store(nq, std::memory_order_relaxed);
         result.resumed = true;
         result.restoredStates = meta.numStates;
         fresh = false;
@@ -416,18 +437,11 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         // violation exit).
         VState init = ts.initialState();
         ts.canonicalize(init);
-        std::uint64_t initId;
-        {
-            const std::uint64_t h = hashState(init.data());
-            const std::size_t sh = h & (kShardCount - 1);
-            shards[sh].store->internHashed(init.data(), h);
-            if (keep_trace) {
-                shards[sh].parents.push_back(0);
-                shards[sh].ruleOf.push_back(0);
-                shards[sh].depthOf.push_back(0);
-            }
-            initId = packId(sh, 0);
-        }
+        const std::uint64_t h = hashState(init.data());
+        Worker &w = workers[ownerOf(h)];
+        w.store->internHashed(init.data(), h);
+        if (keep_trace)
+            w.links.push_back(Link{});
         statesTotal.store(1, std::memory_order_relaxed);
         if (on_state)
             on_state(init);
@@ -445,33 +459,23 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             result.seconds = elapsed();
             return result;
         }
-        queues[0].push(WorkItem{initId, 0});
-        inFlight.store(1, std::memory_order_relaxed);
+        w.frontier.push_back(Item{0, 0});
     }
-
-    // Baseline footprint (presized tables + whatever resume/seeding
-    // interned); workers maintain it by delta from here on.
-    {
-        std::uint64_t bytes = 0;
-        for (const auto &sh : shards)
-            bytes += sh.store->memoryBytes();
-        storeBytes.store(bytes, std::memory_order_relaxed);
-    }
+    for (Worker &w : workers)
+        publish(w);
 
     // maxStates token budget: interning a FRESH state consumes a
-    // token, so the bound holds exactly even when a worker interns a
-    // whole successor batch at once — the run stops at maxStates, not
-    // maxStates + batch size. Reservations are all-or-nothing (no
-    // partial takes, so the balance never dips to zero while work is
-    // still admissible), and a batch that reserved more than it
-    // inserted (duplicates) returns the surplus. The invariant
-    //   statesTotal + tokens + (tokens held by in-lock batches)
+    // token, so the bound holds exactly even though a worker interns
+    // a whole batch at once. A batch reserves its size all or
+    // nothing (no partial takes, so the balance never dips to zero
+    // while work is still admissible) and returns what duplicates did
+    // not use. The invariant
+    //   statesTotal + tokens + (tokens held by batches being interned)
     //     == maxStates
-    // is what lets an exhausted taker distinguish "genuinely at the
-    // bound" (statesTotal == maxStates) from "transiently held":
-    // holders reserve and return entirely inside one shard critical
-    // section and never block on a second lock, so waiting for them
-    // always terminates.
+    // lets an exhausted taker tell "genuinely at the bound"
+    // (statesTotal == maxStates) from "transiently held": a holder
+    // interns into its own store and returns the surplus without
+    // waiting on anything, so waiting for it always terminates.
     std::atomic<std::int64_t> tokens{
         limits.maxStates > statesTotal.load(std::memory_order_relaxed)
             ? static_cast<std::int64_t>(
@@ -497,10 +501,9 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     bool nearLimitSnapshotDone = false;
 
     // Decide/execute a checkpoint rendezvous; runs on worker 0 at the
-    // top of its loop, i.e. while it holds no work item itself.
-    // @p flushOwn publishes worker 0's own local counters; the others
-    // flush theirs before they park.
-    auto coordinate = [&](auto &&flushOwn) {
+    // top of its loop, while it expands nothing. @p quiesceOwn is
+    // worker 0's own flush-and-drain step (false: a stop beat it).
+    auto coordinate = [&](auto &&quiesceOwn) {
         const bool wantInterrupt = interruptRequested();
         const bool wantPeriodic =
             ckpt->everySeconds > 0.0 &&
@@ -515,66 +518,60 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             return;
 
         pauseRequested.store(true, std::memory_order_release);
-        while (pausedCount.load(std::memory_order_acquire) + 1 <
-               alive.load(std::memory_order_acquire)) {
-            if (stop.load(std::memory_order_relaxed)) {
-                pauseRequested.store(false,
-                                     std::memory_order_release);
-                return; // a violation/limit beat us; nothing to save
-            }
+        bool ok = quiesceOwn();
+        while (ok && pausedCount.load(std::memory_order_acquire) + 1 <
+                         alive.load(std::memory_order_acquire)) {
+            if (stop.load(std::memory_order_relaxed))
+                ok = false; // a violation/limit beat us; nothing to save
             std::this_thread::yield();
         }
-
-        flushOwn();
-        write_snapshot();
-        lastCkptSeconds = elapsed();
-        if (memBound)
-            nearLimitSnapshotDone = true;
-
-        if (wantInterrupt) {
-            report_interrupted();
-        } else if (memBound) {
-            mem = estimate_memory();
-            if (mem > limits.maxMemoryBytes &&
-                traceOn.load(std::memory_order_relaxed)) {
-                // Shed the predecessor links — exact counts survive,
-                // traces don't — and keep exploring.
-                for (auto &sh : shards) {
-                    std::lock_guard<std::mutex> g(sh.mu);
-                    sh.parents.clear();
-                    sh.parents.shrink_to_fit();
-                    sh.ruleOf.clear();
-                    sh.ruleOf.shrink_to_fit();
-                    sh.depthOf.clear();
-                    sh.depthOf.shrink_to_fit();
-                }
-                traceOn.store(false, std::memory_order_relaxed);
-                degradedTrace = true;
+        // A worker that ran the budget dry mid-batch exits instead of
+        // parking, and its batch is only partly interned: the cut is
+        // not consistent, so it must not be saved.
+        if (stop.load(std::memory_order_acquire))
+            ok = false;
+        if (ok) {
+            write_snapshot();
+            lastCkptSeconds = elapsed();
+            if (memBound)
+                nearLimitSnapshotDone = true;
+            if (wantInterrupt) {
+                report_interrupted();
+            } else if (memBound) {
                 mem = estimate_memory();
+                if (mem > limits.maxMemoryBytes &&
+                    traceOn.load(std::memory_order_relaxed)) {
+                    // Shed the predecessor links — exact counts
+                    // survive, traces don't — and keep exploring.
+                    for (Worker &w : workers)
+                        std::vector<Link>().swap(w.links);
+                    traceOn.store(false, std::memory_order_relaxed);
+                    degradedTrace = true;
+                    mem = estimate_memory();
+                }
+                if (mem > limits.maxMemoryBytes)
+                    report_limit();
             }
-            if (mem > limits.maxMemoryBytes)
-                report_limit();
         }
+        // Every other worker is parked or stopping: reset the flush
+        // count for the next rendezvous, release them, and wait until
+        // all have left so none is still parked when it starts.
+        flushed.store(0, std::memory_order_relaxed);
         pauseRequested.store(false, std::memory_order_release);
+        while (pausedCount.load(std::memory_order_acquire) != 0)
+            std::this_thread::yield();
     };
 
     auto worker = [&](unsigned wid) {
-        alive.fetch_add(1, std::memory_order_acq_rel);
-        WorkItem item;
-        // Reusable expansion scratch. Each dequeued state is expanded
-        // in two phases: GENERATE fires every enabled rule through the
-        // flat tables into batchBuf (buffers recycled across
-        // expansions, no per-firing allocation), then PROCESS groups
-        // the successors by owning shard and interns each group under
-        // ONE lock acquisition instead of one per successor.
+        Worker &me = workers[wid];
+        // Counted in `pending` from the start; cleared while idle.
+        bool active = true;
         VState cur;
+        VState nx;  // successor being generated
+        VState chk; // fresh state under the invariants and on_state
         std::vector<std::uint64_t> cand(index.ruleWords());
-        std::vector<VState> batchBuf;
-        std::vector<std::uint32_t> batchRule;
-        std::vector<std::uint64_t> batchHash;
-        std::vector<std::uint32_t> order; // batch indices, shard-sorted
-        std::vector<std::pair<std::uint32_t, bool>> ids;
-        std::vector<WorkItem> pushList;
+        std::vector<Batch *> taken;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> admitted;
         // Worker-local counters: a shared read-modify-write per firing
         // would bounce one cache line between every worker.
         std::uint64_t transitionsL = 0;
@@ -587,41 +584,278 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         // rendezvous (worker 0: before it encodes the snapshot) and
         // when it exits.
         auto flushCounters = [&]() {
-            auto publish = [](std::atomic<std::uint64_t> &to,
-                              std::uint64_t &from) {
+            auto add = [](std::atomic<std::uint64_t> &to,
+                          std::uint64_t &from) {
                 if (from != 0)
                     to.fetch_add(from, std::memory_order_relaxed);
                 from = 0;
             };
-            publish(transitionsTotal, transitionsL);
-            publish(invChecksTotal, invChecksL);
+            add(transitionsTotal, transitionsL);
+            add(invChecksTotal, invChecksL);
             for (std::size_t r = 0; r < R; ++r)
-                publish(ruleFires[r], ruleFiresL[r]);
-            publish(guardEvalsTotal, guardEvalsL);
-            publish(guardSkippedTotal, guardSkippedL);
-            publish(identityHitsTotal, identityHitsL);
+                add(ruleFires[r], ruleFiresL[r]);
+            add(guardEvalsTotal, guardEvalsL);
+            add(guardSkippedTotal, guardSkippedL);
+            add(identityHitsTotal, identityHitsL);
         };
+
+        // Intern @p b into this worker's store, then record, check
+        // and enqueue its fresh states. False: the maxStates budget
+        // ran dry (the caller reports the limit).
+        auto internBatch = [&](const Batch &b) -> bool {
+            auto bytesOf = [&](std::uint32_t k) {
+                return b.bytes.data() + std::size_t{k} * stride;
+            };
+            admitted.clear();
+            bool dry = false;
+            const auto n = static_cast<std::int64_t>(b.n);
+            if (takeTokens(n)) {
+                // The whole batch is admitted up front: intern it
+                // blind and return the tokens duplicates didn't use.
+                for (std::uint32_t k = 0; k < b.n; ++k) {
+                    const auto [id, isNew] = me.store->internHashed(
+                        bytesOf(k), b.recs[k].hash);
+                    if (isNew)
+                        admitted.emplace_back(k, id);
+                }
+                if (!admitted.empty())
+                    statesTotal.fetch_add(admitted.size(),
+                                          std::memory_order_relaxed);
+                returnTokens(n -
+                             static_cast<std::int64_t>(admitted.size()));
+            } else {
+                // Near the bound: probe first so duplicates never
+                // consume tokens, and admit fresh states one token at
+                // a time until the budget is truly dry. Each
+                // admission is published at once, so no worker ever
+                // waits on a count it holds itself.
+                for (std::uint32_t k = 0; k < b.n && !dry; ++k) {
+                    const std::uint8_t *s = bytesOf(k);
+                    if (me.store->lookupHashed(s, b.recs[k].hash) !=
+                        StateStore::kNoId)
+                        continue;
+                    while (!takeTokens(1)) {
+                        if (statesTotal.load(std::memory_order_relaxed) >=
+                            limits.maxStates) {
+                            dry = true; // dry, not just held
+                            break;
+                        }
+                        std::this_thread::yield();
+                    }
+                    if (dry)
+                        break;
+                    admitted.emplace_back(
+                        k, me.store->internHashed(s, b.recs[k].hash)
+                               .first);
+                    statesTotal.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+            const bool tracing = traceOn.load(std::memory_order_relaxed);
+            for (const auto &[k, id] : admitted) {
+                const Succ &rec = b.recs[k];
+                if (tracing)
+                    me.links.push_back(
+                        Link{rec.parent, rec.rule, rec.depth});
+                chk.assign(bytesOf(k), bytesOf(k) + numVars);
+                if (on_state) {
+                    std::lock_guard<std::mutex> g(cbMu);
+                    on_state(chk);
+                }
+                if (const int inv = failing_invariant(chk, invChecksL);
+                    inv >= 0) {
+                    report_violation(inv, chk, packId(wid, id),
+                                     rec.depth);
+                    continue; // bad states are not expanded
+                }
+                me.frontier.push_back(Item{id, rec.depth});
+            }
+            publish(me);
+            return !dry;
+        };
+
+        auto acquireBatch = [&]() -> Batch * {
+            if (me.spare.empty()) {
+                std::lock_guard<std::mutex> g(me.mu);
+                me.spare.swap(me.returned);
+            }
+            if (!me.spare.empty()) {
+                Batch *b = me.spare.back();
+                me.spare.pop_back();
+                return b;
+            }
+            me.batches.push_back(std::make_unique<Batch>(wid, stride));
+            batchesLive.fetch_add(1, std::memory_order_relaxed);
+            return me.batches.back().get();
+        };
+
+        // Hand the batch for @p to over: interned in place when this
+        // worker owns it, else into the owner's inbox with one lock
+        // acquisition. False: the budget ran dry.
+        auto send = [&](unsigned to) -> bool {
+            Batch *b = me.out[to];
+            if (to == wid) {
+                const bool ok = internBatch(*b);
+                b->n = 0;
+                return ok;
+            }
+            me.out[to] = nullptr;
+            // Counted before the owner can see it (see `pending`).
+            pending.fetch_add(1, std::memory_order_relaxed);
+            Worker &dst = workers[to];
+            std::lock_guard<std::mutex> g(dst.mu);
+            dst.inbox.push_back(b);
+            dst.mail.store(true, std::memory_order_relaxed);
+            return true;
+        };
+
+        auto flushOut = [&]() -> bool {
+            for (unsigned to = 0; to < nthreads; ++to) {
+                if (me.out[to] != nullptr && me.out[to]->n != 0 &&
+                    !send(to))
+                    return false;
+            }
+            return true;
+        };
+
+        // Intern every batch waiting in the inbox and return each to
+        // its sender. Taking one makes an idle worker active again;
+        // the batch is still counted in `pending` until then.
+        auto drainInbox = [&]() -> bool {
+            if (!me.mail.load(std::memory_order_relaxed))
+                return true;
+            {
+                std::lock_guard<std::mutex> g(me.mu);
+                taken.swap(me.inbox);
+                me.mail.store(false, std::memory_order_relaxed);
+            }
+            if (taken.empty())
+                return true;
+            if (!active) {
+                pending.fetch_add(1, std::memory_order_relaxed);
+                active = true;
+            }
+            bool ok = true;
+            for (Batch *b : taken) {
+                ok = ok && internBatch(*b);
+                b->n = 0;
+                {
+                    Worker &from = workers[b->sender];
+                    std::lock_guard<std::mutex> g(from.mu);
+                    from.returned.push_back(b);
+                }
+                pending.fetch_sub(1, std::memory_order_release);
+            }
+            taken.clear();
+            return ok;
+        };
+
+        // Rendezvous, worker side: stop sending, then intern whatever
+        // is still in transit once every live worker has flushed.
+        // False: a stop cut it short.
+        auto quiesce = [&]() -> bool {
+            if (!flushOut()) {
+                report_limit();
+                return false;
+            }
+            flushed.fetch_add(1, std::memory_order_acq_rel);
+            while (flushed.load(std::memory_order_acquire) <
+                   alive.load(std::memory_order_acquire)) {
+                if (stop.load(std::memory_order_relaxed))
+                    return false;
+                std::this_thread::yield();
+            }
+            if (!drainInbox()) {
+                report_limit();
+                return false;
+            }
+            publish(me);
+            flushCounters();
+            return true;
+        };
+
+        // GENERATE for one state: fire every enabled rule in
+        // ascending order, evaluating only the guards of cur's
+        // candidates, and route each canonical successor into the
+        // batch for its owner.
+        auto expand = [&](const Item &item) {
+            me.store->copyTo(item.id, cur);
+            const std::uint64_t parent = packId(wid, item.id);
+            bool stopped = false;
+            std::size_t fired = 0;
+            const std::size_t evals = index.forEachEnabled(
+                comp, cur, cand.data(), [&](std::size_t r) {
+                    if (stop.load(std::memory_order_relaxed)) {
+                        stopped = true;
+                        return false;
+                    }
+                    nx = cur;
+                    comp.effect(r, nx);
+                    if (ts.canonicalize(nx))
+                        ++identityHitsL;
+                    ++transitionsL;
+                    ++ruleFiresL[r];
+                    ++fired;
+                    const std::uint64_t h = hashState(nx.data());
+                    const unsigned to = ownerOf(h);
+                    if (me.out[to] == nullptr)
+                        me.out[to] = acquireBatch();
+                    Batch &b = *me.out[to];
+                    b.recs[b.n] = Succ{parent, h,
+                                       static_cast<std::uint32_t>(r),
+                                       item.depth + 1};
+                    std::memcpy(b.bytes.data() + std::size_t{b.n} * stride,
+                                nx.data(), numVars);
+                    if (++b.n == kBatchRecords && !send(to)) {
+                        report_limit();
+                        stopped = true;
+                        return false;
+                    }
+                    return true;
+                });
+            guardEvalsL += evals;
+            guardSkippedL += R - evals;
+            if (detect_deadlock && fired == 0 && !stopped)
+                report_deadlock(cur);
+        };
+
         for (;;) {
             if (stop.load(std::memory_order_relaxed))
                 break;
-            if (wid == 0 && ckptActive)
-                coordinate(flushCounters);
-            if (pauseRequested.load(std::memory_order_acquire) &&
-                wid != 0) {
-                flushCounters();
-                pausedCount.fetch_add(1, std::memory_order_acq_rel);
-                while (pauseRequested.load(
-                           std::memory_order_acquire) &&
-                       !stop.load(std::memory_order_relaxed))
-                    std::this_thread::yield();
-                pausedCount.fetch_sub(1, std::memory_order_acq_rel);
+            if (wid == 0 && ckptActive) {
+                coordinate(quiesce);
+                if (stop.load(std::memory_order_relaxed))
+                    break;
+            } else if (pauseRequested.load(std::memory_order_acquire) &&
+                       wid != 0) {
+                if (quiesce()) {
+                    pausedCount.fetch_add(1, std::memory_order_acq_rel);
+                    while (pauseRequested.load(
+                               std::memory_order_acquire) &&
+                           !stop.load(std::memory_order_relaxed))
+                        std::this_thread::yield();
+                    pausedCount.fetch_sub(1, std::memory_order_acq_rel);
+                }
                 continue;
             }
-            bool got = queues[wid].pop(item);
-            for (unsigned k = 1; !got && k < nthreads; ++k)
-                got = queues[(wid + k) % nthreads].steal(item);
-            if (!got) {
-                if (inFlight.load(std::memory_order_acquire) == 0)
+            if (!drainInbox()) {
+                report_limit();
+                break;
+            }
+            if (me.head == me.frontier.size()) {
+                if (active) {
+                    // Out of frontier: send every partial batch; the
+                    // one for this worker may refill the frontier.
+                    if (!flushOut()) {
+                        report_limit();
+                        break;
+                    }
+                    if (me.head < me.frontier.size())
+                        continue;
+                    publish(me);
+                    active = false;
+                    pending.fetch_sub(1, std::memory_order_acq_rel);
+                }
+                if (pending.load(std::memory_order_acquire) == 0)
                     break;
                 std::this_thread::yield();
                 continue;
@@ -636,225 +870,20 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 (!ckptActive && limits.maxMemoryBytes != 0 &&
                  estimate_memory() > limits.maxMemoryBytes)) {
                 report_limit();
-                inFlight.fetch_sub(1, std::memory_order_release);
                 break;
             }
-            // The popped id was published through the frontier (the
-            // push's release store) after its bytes were interned
-            // under the owning shard's mutex, so this lock-free arena
-            // read is happens-after the write (see mpmc_ring.hpp's
-            // happens-before contract).
-            shards[item.id >> 32].store->copyTo(
-                static_cast<std::uint32_t>(item.id & 0xffffffffULL),
-                cur);
-
-            // GENERATE: fire every enabled rule into the batch, in
-            // ascending rule order, evaluating only the guards of
-            // cur's candidates.
-            bool stopped = false;
-            std::size_t batchN = 0;
-            const std::size_t evals = index.forEachEnabled(
-                comp, cur, cand.data(), [&](std::size_t r) {
-                    if (stop.load(std::memory_order_relaxed)) {
-                        stopped = true;
-                        return false;
-                    }
-                    if (batchN == batchBuf.size()) {
-                        batchBuf.emplace_back();
-                        batchRule.push_back(0);
-                        batchHash.push_back(0);
-                    }
-                    VState &nx = batchBuf[batchN];
-                    nx = cur;
-                    comp.effect(r, nx);
-                    if (ts.canonicalize(nx))
-                        ++identityHitsL;
-                    batchRule[batchN] = static_cast<std::uint32_t>(r);
-                    batchHash[batchN] = hashState(nx.data());
-                    ++transitionsL;
-                    ++ruleFiresL[r];
-                    ++batchN;
-                    return true;
-                });
-            guardEvalsL += evals;
-            guardSkippedL += R - evals;
-            if (detect_deadlock && batchN == 0 && !stopped)
-                report_deadlock(cur);
-
-            // PROCESS: shard-group the successors (stable sort keeps
-            // rule order within a group, so trace links and local ids
-            // stay aligned), then one canonicalize+intern pass per
-            // group under its shard lock, publishing to the frontier
-            // once at the end.
-            order.resize(batchN);
-            for (std::size_t i = 0; i < batchN; ++i)
-                order[i] = static_cast<std::uint32_t>(i);
-            std::stable_sort(
-                order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                    return (batchHash[a] & (kShardCount - 1)) <
-                           (batchHash[b] & (kShardCount - 1));
-                });
-            pushList.clear();
-            bool limitHit = false;
-            std::size_t gi = 0;
-            while (gi < batchN && !limitHit) {
-                const std::size_t sh =
-                    batchHash[order[gi]] & (kShardCount - 1);
-                std::size_t ge = gi;
-                while (ge < batchN &&
-                       (batchHash[order[ge]] & (kShardCount - 1)) ==
-                           sh)
-                    ++ge;
-                const std::size_t groupSize = ge - gi;
-                ids.resize(groupSize);
-                std::size_t processed = groupSize;
-                std::int64_t freshCount = 0;
-                std::uint64_t grewBy;
-                {
-                    std::lock_guard<std::mutex> g(shards[sh].mu);
-                    StateStore &store = *shards[sh].store;
-                    const std::uint64_t before = store.memoryBytes();
-                    const bool tracing =
-                        traceOn.load(std::memory_order_relaxed);
-                    if (takeTokens(static_cast<std::int64_t>(
-                            groupSize))) {
-                        // Fast path: the whole group is admitted up
-                        // front, so intern it blind (no lookups) and
-                        // return the tokens duplicates didn't use.
-                        for (std::size_t k = 0; k < groupSize; ++k) {
-                            const std::uint32_t bi = order[gi + k];
-                            ids[k] = store.internHashed(
-                                batchBuf[bi].data(), batchHash[bi]);
-                            if (!ids[k].second)
-                                continue;
-                            ++freshCount;
-                            if (tracing) {
-                                shards[sh].parents.push_back(item.id);
-                                shards[sh].ruleOf.push_back(
-                                    batchRule[bi]);
-                                shards[sh].depthOf.push_back(
-                                    item.depth + 1);
-                            }
-                        }
-                        returnTokens(
-                            static_cast<std::int64_t>(groupSize) -
-                            freshCount);
-                    } else {
-                        // Near the bound: probe first so duplicates
-                        // never consume tokens, and admit fresh
-                        // states one token at a time until the budget
-                        // is truly dry.
-                        for (std::size_t k = 0; k < groupSize; ++k) {
-                            const std::uint32_t bi = order[gi + k];
-                            const std::uint32_t found =
-                                store.lookupHashed(batchBuf[bi].data(),
-                                                   batchHash[bi]);
-                            if (found != StateStore::kNoId) {
-                                ids[k] = {found, false};
-                                continue;
-                            }
-                            bool admitted = false;
-                            for (;;) {
-                                if (takeTokens(1)) {
-                                    admitted = true;
-                                    break;
-                                }
-                                if (statesTotal.load(
-                                        std::memory_order_relaxed) >=
-                                    limits.maxStates)
-                                    break; // dry, not just held
-                                std::this_thread::yield();
-                            }
-                            if (!admitted) {
-                                processed = k;
-                                limitHit = true;
-                                break;
-                            }
-                            ids[k] = store.internHashed(
-                                batchBuf[bi].data(), batchHash[bi]);
-                            if (ids[k].second) {
-                                // Publish immediately, NOT via the
-                                // deferred freshCount flush: the next
-                                // spin in this very loop must be able
-                                // to observe this admission, or a
-                                // worker holding the last token as an
-                                // unflushed count would wait on
-                                // itself forever.
-                                statesTotal.fetch_add(
-                                    1, std::memory_order_relaxed);
-                                if (tracing) {
-                                    shards[sh].parents.push_back(
-                                        item.id);
-                                    shards[sh].ruleOf.push_back(
-                                        batchRule[bi]);
-                                    shards[sh].depthOf.push_back(
-                                        item.depth + 1);
-                                }
-                            } else {
-                                // An in-batch duplicate the probe
-                                // missed is impossible (the probe
-                                // sees earlier interns), but a dup
-                                // would hand its token back here.
-                                returnTokens(1);
-                            }
-                        }
-                    }
-                    // Fast-path flush, inside the critical section so
-                    // the budget invariant (tokens consumed <=>
-                    // statesTotal advanced) is restored before the
-                    // lock drops. A fast-path holder never spins, so
-                    // deferring its flush cannot deadlock a slow-path
-                    // spinner — it only makes the spinner wait for
-                    // this store pass to finish.
-                    if (freshCount != 0)
-                        statesTotal.fetch_add(
-                            static_cast<std::uint64_t>(freshCount),
-                            std::memory_order_relaxed);
-                    grewBy = store.memoryBytes() - before;
-                }
-                if (grewBy != 0)
-                    storeBytes.fetch_add(grewBy,
-                                         std::memory_order_relaxed);
-                for (std::size_t k = 0; k < processed; ++k) {
-                    if (!ids[k].second)
-                        continue;
-                    const std::uint32_t bi = order[gi + k];
-                    const VState &nx = batchBuf[bi];
-                    const std::uint64_t nid = packId(sh, ids[k].first);
-                    if (on_state) {
-                        std::lock_guard<std::mutex> g(cbMu);
-                        on_state(nx);
-                    }
-                    if (const int inv = failing_invariant(nx, invChecksL);
-                        inv >= 0) {
-                        report_violation(inv, nx, nid,
-                                         item.depth + 1);
-                        continue; // bad states are not expanded
-                    }
-                    pushList.push_back(WorkItem{nid, item.depth + 1});
-                }
-                gi = ge;
+            const Item item = me.frontier[me.head++];
+            if (me.head >= 4096 && me.head * 2 >= me.frontier.size()) {
+                me.frontier.erase(me.frontier.begin(),
+                                  me.frontier.begin() +
+                                      static_cast<std::ptrdiff_t>(
+                                          me.head));
+                me.head = 0;
             }
-            if (limitHit) {
-                // Interned successors above are already counted and
-                // checked; nothing new gets expanded past the bound.
-                report_limit();
-                inFlight.fetch_sub(1, std::memory_order_release);
-                break;
-            }
-            // Publish once: count the new work in before any of it
-            // becomes poppable so in-flight never transiently reads
-            // zero while items exist.
-            if (!pushList.empty()) {
-                inFlight.fetch_add(pushList.size(),
-                                   std::memory_order_relaxed);
-                for (const WorkItem &w : pushList)
-                    queues[wid].push(w);
-            }
-            inFlight.fetch_sub(1, std::memory_order_release);
+            expand(item);
         }
         flushCounters();
+        publish(me);
         alive.fetch_sub(1, std::memory_order_acq_rel);
     };
 
@@ -871,9 +900,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     if (ckptActive && interruptRequested() &&
         termStatus == VerifStatus::Interrupted &&
         result.checkpointsWritten == 0) {
-        // The coordinator marked us interrupted but never wrote (all
-        // other workers exited first); flush one final snapshot now
-        // that every thread has joined.
+        // The rendezvous snapshot was not written; every worker left
+        // right after parking, so the stores still hold that cut.
         write_snapshot();
     }
 
@@ -892,8 +920,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     result.canonIdentityHits =
         identityHitsTotal.load(std::memory_order_relaxed);
     std::uint64_t visited = 0;
-    for (const Shard &s : shards)
-        visited += s.store->size();
+    for (const Worker &w : workers)
+        visited += w.store->size();
     result.statesExplored = visited;
     result.memoryBytes = estimate_memory();
     result.degradedTrace = degradedTrace;
@@ -906,13 +934,14 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             std::vector<std::string> names;
             std::uint64_t id = vioId;
             for (;;) {
-                const Shard &sh = shards[id >> 32];
+                const Worker &w = workers[id >> 32];
                 const auto local =
                     static_cast<std::size_t>(id & 0xffffffffULL);
-                if (sh.depthOf[local] == 0)
+                const Link &l = w.links[local];
+                if (l.depth == 0)
                     break;
-                names.push_back(rules[sh.ruleOf[local]].name);
-                id = sh.parents[local];
+                names.push_back(rules[l.rule].name);
+                id = l.parent;
             }
             std::reverse(names.begin(), names.end());
             result.trace = std::move(names);

@@ -1,35 +1,37 @@
 /**
  * @file
- * Sharded parallel explicit-state reachability.
+ * Owner-partitioned parallel explicit-state reachability.
  *
- * N worker threads expand the frontier concurrently against a visited
- * set split into 64 shards by canonical-state hash; each shard is an
- * independently locked hash table, so insertions from different
- * workers rarely contend. Every worker owns a bounded lock-free MPMC
- * ring (mpmc_ring.hpp) as its frontier — overflow spills into a
- * mutex-guarded deque so boundedness never deadlocks work-stealing —
- * and steals from its neighbours' rings when empty (PReach-style
- * distributed exploration, collapsed onto one address space). Each
- * dequeued state is expanded in a batch: all enabled rules fire
- * through the precompiled flat guard/effect tables (CompiledRules,
- * transition_system.hpp) into per-worker scratch, the successors are
- * interned shard-group-at-a-time under one lock acquisition per
- * group, and the surviving work is published to the ring once.
- * DESIGN.md module 19 carries the full happens-before argument.
+ * N worker threads split the state space by owner, as in Stern and
+ * Dill's parallel Murphi and in PReach: canonical state s belongs to
+ * worker stateHash(s) % N. Each worker keeps its own arena-interned
+ * StateStore, the predecessor links of its states and a FIFO
+ * frontier, and expands only its own states. Every successor is
+ * fired through the precompiled flat guard/effect tables
+ * (CompiledRules, transition_system.hpp), canonicalized, hashed and
+ * appended to a 64-record batch for its owner: a full batch for the
+ * worker itself is interned in place, one for another owner goes into
+ * that owner's inbox with a single mutex acquisition. A worker that
+ * runs out of frontier sends its partial batches; the owner interns
+ * each arriving batch and hands the emptied buffer back to its sender.
+ * One atomic counting active workers plus batches in transit detects
+ * the fixpoint. DESIGN.md module 19 carries the happens-before
+ * argument.
  *
  * Equivalence contract with the sequential explorer (locked in by
  * tests/test_parallel_explorer.cpp): at a fixpoint, the set of
- * visited canonical states is identical — each state is inserted into
- * exactly one shard and expanded exactly once — so statesExplored,
- * transitionsFired, ruleFires, invariantChecks and the final status
- * are equal for any thread count. What is NOT bit-identical across
- * thread counts: the discovery order of
- * states (on_state callback order), the counterexample trace (any
- * predecessor-chain of the first violation discovered is reported;
- * parallel expansion order is only approximately breadth-first), and
- * timing-dependent LimitExceeded cut points — though the maxStates
- * bound itself is exact: a token budget admits fresh states one
- * insertion at a time, so the run stops at maxStates even mid-batch.
+ * visited canonical states is identical — each state is interned by
+ * exactly one owner and expanded exactly once — so statesExplored,
+ * transitionsFired, ruleFires, invariantChecks, guardEvals,
+ * guardEvalsSkipped, canonIdentityHits and the final status are equal
+ * for any thread count. What is NOT bit-identical across thread
+ * counts: the discovery order of states (on_state callback order),
+ * the counterexample trace (any predecessor chain of the smallest
+ * violation discovered; parallel expansion order is only
+ * approximately breadth-first), and timing-dependent LimitExceeded cut
+ * points — though the maxStates bound itself is exact: a token budget
+ * reserved once per batch, with a one-token slow path near the bound,
+ * stops the run at maxStates even mid-batch.
  */
 
 #ifndef NEO_VERIF_PARALLEL_EXPLORER_HPP

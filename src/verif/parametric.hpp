@@ -152,8 +152,8 @@ struct ParametricResult
  * Run the parametric sweep.
  *
  * With limits.threads > 1 each instance's reachability runs on the
- * sharded parallel explorer internally (the view set is collected
- * through the serialized on_state callback, so the abstraction —
+ * parallel explorer internally (the view set is collected through
+ * the serialized on_state callback, so the abstraction —
  * being a set — is independent of discovery order and identical to
  * the sequential sweep's).
  *

@@ -3,8 +3,8 @@
  * Random-walk falsification over a TransitionSystem.
  *
  * The third exploration mode next to the sequential BFS and the
- * sharded parallel explorer: instead of exhausting the reachable set,
- * run K independent seeded walks of bounded depth, checking every
+ * parallel explorer: instead of exhausting the reachable set, run K
+ * independent seeded walks of bounded depth, checking every
  * invariant after every rule firing. Walks scale to instances far too
  * large to exhaust — they cannot prove safety, only falsify it, which
  * is exactly what the mutation corpus (models/mutants.hpp) needs to

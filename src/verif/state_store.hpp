@@ -10,19 +10,20 @@
  * The paper's push-button methodology (§4.1) depends on exactly this
  * kind of throughput — the original Neo construction blew a >200 GB
  * budget before it was redesigned — so every engine here (sequential
- * BFS, the sharded parallel explorer, the trace shrinker) dedupes
- * through this store instead of `std::unordered_map<VState, id>`.
+ * BFS, each worker of the parallel explorer, the trace shrinker)
+ * dedupes through this store instead of
+ * `std::unordered_map<VState, id>`.
  *
  * Every state keeps its full bytes, and a fingerprint hit is always
  * confirmed by a byte compare, so a verdict is exact.
  *
  * Concurrency contract: intern() and reserve() require external
- * synchronization (the parallel explorer wraps each shard's store in
- * that shard's mutex). at()/copyTo()/stride() are safe to call
- * WITHOUT the lock for any id whose publication happened-before the
- * call (e.g. an id received through the frontier ring): slab pointers
- * live in a fixed-size array that is never reallocated, and a state's
- * bytes are written exactly once, before its id escapes the lock.
+ * synchronization (in the parallel explorer only the owning worker
+ * calls them). at()/copyTo()/stride() are safe to call WITHOUT a
+ * lock for any id whose publication happened-before the call (e.g. a
+ * checkpoint rendezvous reading a parked worker's store): slab
+ * pointers live in a fixed-size array that is never reallocated, and
+ * a state's bytes are written exactly once, before its id escapes.
  */
 
 #ifndef NEO_VERIF_STATE_STORE_HPP
@@ -41,11 +42,11 @@ namespace neo
 
 /**
  * 64-bit state hash: 8-byte chunks folded with multiply-xor and a
- * murmur3-style finalizer. Low bits select the parallel explorer's
- * shard, high 32 bits are the visited-table fingerprint, so both
- * halves must avalanche. Roughly 8x fewer data-dependent steps than
- * the byte-wise FNV-1a it replaces — the hash runs once per generated
- * successor, which makes it hot-path.
+ * murmur3-style finalizer. The hash modulo the worker count picks the
+ * parallel explorer's owner and the high 32 bits are the visited-table
+ * fingerprint, so both halves must avalanche. Roughly 8x fewer
+ * data-dependent steps than the byte-wise FNV-1a it replaces — the
+ * hash runs once per generated successor, which makes it hot-path.
  */
 inline std::uint64_t
 stateHash(const std::uint8_t *p, std::size_t n)
@@ -132,7 +133,7 @@ class StateStore
         return intern(s.data());
     }
     /** Intern with a precomputed hash — the parallel explorer hashes
-     *  once for shard selection and reuses it. */
+     *  once to pick the owner and reuses it. */
     std::pair<std::uint32_t, bool>
     internHashed(const std::uint8_t *state, std::uint64_t hash);
 
@@ -141,9 +142,9 @@ class StateStore
      * it has never been interned. Never inserts, never grows the
      * table, leaves the probe histogram untouched. Same external-
      * synchronization contract as intern() (it reads the table the
-     * interns mutate) — the parallel explorer calls it under the
-     * shard mutex to decide whether a successor needs one of the
-     * maxStates insertion tokens before committing to an intern.
+     * interns mutate) — a parallel owner calls it near the state
+     * bound to decide whether a successor needs one of the maxStates
+     * insertion tokens before committing to an intern.
      */
     std::uint32_t lookupHashed(const std::uint8_t *state,
                                std::uint64_t hash) const;

@@ -3,7 +3,7 @@
  * Crash-safety contract tests for the checkpoint/resume subsystem.
  *
  * The load-bearing property is DIFFERENTIAL: for every exploration
- * mode (sequential BFS, sharded parallel at 2/4/8 threads, random
+ * mode (sequential BFS, parallel at 2/4/8 threads, random
  * walks, parametric sweep) a run that is killed mid-flight and then
  * resumed — possibly several times — must reach the exact fixpoint of
  * an uninterrupted reference run: same status, state/transition

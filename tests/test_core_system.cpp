@@ -209,6 +209,22 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+TEST(SimTrace, AddrFilterSelectsOneBlock)
+{
+    const std::string l40 =
+        "l1_3: send GetS[addr=0x40 src=3 dst=34 txn=3:7]";
+    const std::string l40fcc0 =
+        "dir_0: recv Data[addr=0x40fcc0 src=34 dst=3 grant=E]";
+    EXPECT_TRUE(traceLineHasAddr(l40, 0x40));
+    EXPECT_FALSE(traceLineHasAddr(l40fcc0, 0x40));
+    EXPECT_FALSE(
+        traceLineHasAddr("l1_0: recv Inv[addr=0x408980 src=1 dst=0]",
+                         0x40));
+    EXPECT_TRUE(traceLineHasAddr(l40fcc0, 0x40fcc0));
+    EXPECT_FALSE(traceLineHasAddr(l40, 0x4));
+    EXPECT_FALSE(traceLineHasAddr("l1_3: reissue GetS", 0x40));
+}
+
 TEST(SimTrace, StreamMatchesPinnedDigest)
 {
     // Every send/recv line of a small run, tick-stamped as

@@ -1,17 +1,20 @@
 /**
  * @file
- * Differential tests locking the sharded parallel explorer to the
- * sequential BFS: for every bundled model (German, flat closed, flat
- * open across feature configs and instance sizes) the status, the
- * violated-invariant name, the fixpoint state count, the total
- * transitions fired and the per-rule fire counts must be identical at
- * 2/4/8 worker threads. Violation traces may legitimately differ from
- * the sequential ones, so they are instead replayed through the
- * transition system and must end in a genuinely violating state.
+ * Differential tests locking the owner-partitioned parallel explorer
+ * to the sequential BFS: for every bundled model (German, flat closed,
+ * flat open across feature configs and instance sizes) the status,
+ * the violated-invariant name, the fixpoint state count, the total
+ * transitions fired, the per-rule fire counts and the rule-index and
+ * canonicalization counters must be identical at 2/3/4/8 worker
+ * threads — 3 makes `hash % W` fold onto a non-power of two, 8 runs
+ * more workers than most hosts have cores. Violation traces may
+ * legitimately differ from the sequential ones, so they are instead
+ * replayed through the transition system and must end in a genuinely
+ * violating state.
  *
  * Also here: randomized property tests for the symmetry
  * canonicalization (idempotence, leaf-permutation invariance) that
- * the shard hash depends on, and regressions for the memory-bound
+ * state ownership depends on, and regressions for the memory-bound
  * accounting shared by both exploration modes.
  */
 
@@ -23,6 +26,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "verif/explorer.hpp"
 #include "verif/models/flat_closed.hpp"
@@ -36,7 +40,7 @@ using namespace neo::verif;
 namespace
 {
 
-constexpr unsigned kThreadCounts[] = {2, 4, 8};
+const std::vector<unsigned> kThreadCounts = {2, 3, 4, 8};
 
 /** Replay a counterexample trace through the transition system and
  *  require it to end in a state some invariant rejects. */
@@ -69,16 +73,22 @@ replayTrace(const TransitionSystem &ts,
     EXPECT_TRUE(violated) << "trace does not reach a violating state";
 }
 
-/** Run sequential vs parallel and assert the equivalence contract. */
+/** Run sequential vs parallel at each of @p threads and assert the
+ *  equivalence contract; @p hash overrides the state hash of the
+ *  parallel runs. */
 void
-expectDifferentialMatch(const TransitionSystem &ts)
+expectDifferentialMatch(const TransitionSystem &ts,
+                        const std::vector<unsigned> &threads =
+                            kThreadCounts,
+                        StateStore::HashFn hash = nullptr)
 {
     const ExploreLimits lim{2'000'000, 120.0};
     const ExploreResult seq = explore(ts, lim, false, true);
-    for (unsigned t : kThreadCounts) {
+    for (unsigned t : threads) {
         SCOPED_TRACE("threads=" + std::to_string(t));
         ExploreLimits plim = lim;
         plim.threads = t;
+        plim.hash = hash;
         const ExploreResult par = explore(ts, plim, false, true);
         EXPECT_EQ(par.status, seq.status)
             << verifStatusName(par.status) << " vs "
@@ -93,6 +103,12 @@ expectDifferentialMatch(const TransitionSystem &ts)
             EXPECT_EQ(par.invariantChecks, seq.invariantChecks);
             EXPECT_EQ(seq.invariantChecks,
                       seq.statesExplored * ts.invariants().size());
+            // Each state is expanded once, by its owner, and each
+            // firing canonicalized once: the worker-local counters
+            // must add up to the sequential ones.
+            EXPECT_EQ(par.guardEvals, seq.guardEvals);
+            EXPECT_EQ(par.guardEvalsSkipped, seq.guardEvalsSkipped);
+            EXPECT_EQ(par.canonIdentityHits, seq.canonIdentityHits);
         } else if (seq.status == VerifStatus::InvariantViolated) {
             replayTrace(ts, par.trace);
         }
@@ -106,6 +122,48 @@ TEST(ParallelDifferential, German)
         ModelShape shape;
         expectDifferentialMatch(buildGermanModel(n, shape));
     }
+}
+
+TEST(ParallelDifferential, GermanLargerInstancesAtFourThreads)
+{
+    // The larger German instances (up to 549,880 states at N=6),
+    // where workers hand over full batches rather than partial ones.
+    for (std::size_t n : {4u, 5u, 6u}) {
+        SCOPED_TRACE("N=" + std::to_string(n));
+        ModelShape shape;
+        expectDifferentialMatch(buildGermanModel(n, shape), {4});
+    }
+}
+
+TEST(ParallelDifferential, OpenNeoMESIN4)
+{
+    // 402,101 states: enough traffic between owners that every worker
+    // fills and hands over thousands of batches.
+    ModelShape shape;
+    expectDifferentialMatch(
+        buildOpenModel(4, VerifFeatures::neoMESI(),
+                       CompositionMethod::Modified, shape));
+}
+
+/** stateHash rounded down to a multiple of 840 = lcm(1..8) with its
+ *  high half kept: the fingerprints stay spread, but `hash % W` is 0
+ *  for every thread count tested, so worker 0 owns every state. */
+std::uint64_t
+ownerZeroHash(const std::uint8_t *p, std::size_t n)
+{
+    const std::uint64_t h = stateHash(p, n) & 0xffffffff00000000ULL;
+    return h - h % 840;
+}
+
+TEST(ParallelDifferential, SkewedOwnershipReachesTheExactFixpoint)
+{
+    // Every successor goes to one owner and the other workers never
+    // get a state to expand: termination must still be detected, at
+    // the exact fixpoint.
+    ModelShape shape;
+    const TransitionSystem ts =
+        buildClosedModel(3, VerifFeatures::neoMESI(), shape);
+    expectDifferentialMatch(ts, kThreadCounts, &ownerZeroHash);
 }
 
 TEST(ParallelDifferential, FlatClosedFeatureLadder)
@@ -259,10 +317,10 @@ TEST(ParallelDifferential, MemoryBoundTriggersInBothModes)
 }
 
 // ---------------------------------------------------------------
-// Canonicalization property/stress tests. The sharded visited set
-// hashes canonical representatives, so correctness of the parallel
-// explorer leans on the canonicalizer being (a) idempotent and
-// (b) invariant under any permutation of the identical leaves.
+// Canonicalization property/stress tests. Ownership hashes canonical
+// representatives, so correctness of the parallel explorer leans on
+// the canonicalizer being (a) idempotent and (b) invariant under any
+// permutation of the identical leaves.
 // ---------------------------------------------------------------
 
 unsigned

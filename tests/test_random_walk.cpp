@@ -5,7 +5,7 @@
  * The mutation corpus is the oracle's oracle: every deliberately
  * broken protocol variant must be caught — by the random-walk
  * falsifier within its documented seed/budget, by exhaustive
- * sequential BFS, and by the sharded parallel explorer — and the
+ * sequential BFS, and by the parallel explorer — and the
  * violated invariant must match the mutant's tag in all three
  * engines. Conversely, no unmutated bundled model may be flagged
  * under the same walk budget. On top of that: raw and shrunk
@@ -133,7 +133,7 @@ TEST(MutantCorpus, SequentialBfsCatchesEveryMutant)
     }
 }
 
-/** The sharded parallel explorer agrees too. */
+/** The parallel explorer agrees too. */
 TEST(MutantCorpus, ParallelExplorerCatchesEveryMutant)
 {
     for (const Mutant &m : mutantRegistry()) {

@@ -155,11 +155,10 @@ TEST(StateStore, ReserveIsIdempotentAndHonored)
 
 TEST(StateStore, ConcurrentShardedInterningIsRaceFree)
 {
-    // Mirror the parallel explorer's discipline: intern under a
-    // per-shard mutex, then read the published arena bytes from
-    // OTHER threads without that lock (ids handed over through a
-    // results mutex, exactly like its work queues). TSan must stay
-    // quiet and every state must come back byte-exact.
+    // The store's concurrency contract: intern under a per-shard
+    // mutex, then read the published arena bytes from OTHER threads
+    // without that lock (ids handed over through a results mutex).
+    // TSan must stay quiet and every state must come back byte-exact.
     constexpr std::size_t stride = 9;
     constexpr std::size_t kShards = 4;
     constexpr unsigned kThreads = 4;
@@ -199,10 +198,9 @@ TEST(StateStore, ConcurrentShardedInterningIsRaceFree)
                     published.emplace_back(sh, id, v);
                 }
                 // Read someone else's published state WITHOUT the
-                // shard lock while interning continues elsewhere —
-                // the explorer does exactly this when expanding a
-                // frontier item. The id handover through resultsMu
-                // is the happens-before edge.
+                // shard lock while interning continues elsewhere.
+                // The id handover through resultsMu is the
+                // happens-before edge.
                 if (k % 16 == 0) {
                     std::tuple<std::size_t, std::uint32_t,
                                std::uint64_t>
@@ -232,8 +230,7 @@ TEST(StateStore, ConcurrentShardedInterningIsRaceFree)
     for (auto &th : threads)
         th.join();
 
-    // Lock-free reads after the handover, like a worker expanding a
-    // stolen frontier item.
+    // Lock-free reads after the handover.
     std::set<std::uint64_t> values;
     for (const auto &[sh, id, v] : published) {
         EXPECT_EQ(std::memcmp(shards[sh].store.at(id),
@@ -271,7 +268,7 @@ TEST(StateStore, LookupHashedProbesWithoutInserting)
 TEST(StateStore, ForcedCollisionStillFindsViolation)
 {
     // With an injected constant hash every state shares one
-    // fingerprint (and, in the parallel explorer, one shard), so
+    // fingerprint (and, in the parallel explorer, one owner), so
     // dedup rests entirely on the byte compare: both engines must
     // still find the mutant's violation.
     const verif::Mutant *m = verif::findMutant("leaf_silent_upgrade");

@@ -59,7 +59,7 @@ usage()
         "  --max-states N    state bound          (default 8000000)\n"
         "  --max-seconds S   time bound           (default 600)\n"
         "  --max-memory B    live-memory bound in bytes (default off)\n"
-        "  --threads N       exploration workers; >1 uses the sharded\n"
+        "  --threads N       exploration workers; >1 uses the\n"
         "                    parallel explorer    (default 1)\n"
         "  --trace           print the counterexample, if any\n"
         "falsification (random walks instead of exhaustive search):\n"
