@@ -4,10 +4,11 @@
  *
  * Consistency contract with the parallel explorer's frontiers: a
  * snapshot is only serialized at a pause rendezvous, when every
- * worker has flushed its partial successor batches, interned every
- * batch still in transit and parked at the top of its loop — so each
- * unexpanded state sits in its owner's frontier, and the owners'
- * stores and frontiers together form a consistent cut.
+ * worker has let go of its partition, flushed its partial successor
+ * batches, interned every batch still in transit and parked at the
+ * top of its loop — so each unexpanded state sits in its partition's
+ * frontier, and the partitions' stores and frontiers together form a
+ * consistent cut.
  *
  * Model fingerprints cover the initial state bytes, variable names,
  * rule names/kinds and invariant names — NOT the guard/effect

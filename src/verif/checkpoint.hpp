@@ -5,7 +5,7 @@
  * Long explorations are the norm at production scale (the paper's war
  * story is a >200 GB Neo baseline run); a preemption, OOM kill or ^C
  * must not throw away hours of reachability work. This module gives
- * every exploration mode — sequential BFS, the owner-partitioned
+ * every exploration mode — sequential BFS, the partitioned
  * parallel explorer, random-walk falsification and the parametric
  * sweep — periodic, versioned, CRC-guarded snapshots written atomically
  * (serialize to a temp file, fsync, rename into place), so the last
@@ -192,7 +192,7 @@ std::string partitionSnapshotPath(const std::string &dir,
  * Mode-neutral image of an in-progress reachability run. States are
  * listed in a canonical discovery order and referenced by dense index,
  * which the sequential explorer uses directly and the parallel
- * explorer maps onto its (owner, local) packed ids — so either
+ * explorer maps onto its (partition, local) packed ids — so either
  * explorer can resume a snapshot the other wrote.
  */
 struct ExploreSnapshot

@@ -39,7 +39,7 @@ struct ExploreLimits
      *  (the paper's 50 GB analogue); 0 = unbounded. */
     std::uint64_t maxMemoryBytes = 0;
     /** Worker threads. 1 runs the sequential BFS below; >1 runs the
-     *  owner-partitioned parallel explorer (parallel_explorer.hpp),
+     *  partitioned parallel explorer (parallel_explorer.hpp),
      *  which reaches the same fixpoint with the same state/transition
      *  counts but may report a different (equally valid)
      *  counterexample trace. */
@@ -53,13 +53,13 @@ struct ExploreLimits
     /** Test-only state-hash override (forced-collision and
      *  skewed-ownership suites), used by both engines wherever they
      *  hash a state, and by the parallel one to pick each state's
-     *  owner; nullptr uses stateHash(). */
+     *  partition; nullptr uses stateHash(). */
     StateStore::HashFn hash = nullptr;
 };
 
 /** Hash functor over state bytes, delegating to stateHash()
  *  (state_store.hpp) so `unordered_*<VState, …>` containers agree
- *  with the StateStore fingerprints and parallel ownership. */
+ *  with the StateStore fingerprints and parallel partitioning. */
 struct VStateHash
 {
     std::size_t
@@ -132,7 +132,7 @@ struct ExploreResult
 
 /**
  * Run reachability: BFS when limits.threads == 1, the
- * owner-partitioned parallel explorer otherwise.
+ * partitioned parallel explorer otherwise.
  *
  * @param ts the model
  * @param limits bounds; exceeding them yields LimitExceeded

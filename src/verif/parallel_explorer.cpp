@@ -23,18 +23,31 @@ namespace
 /** Successor records per handoff batch. */
 constexpr std::size_t kBatchRecords = 64;
 
-/** One successor on its way to the worker that owns it. */
+/** Partitions per worker. One worker at a time serves a partition,
+ *  so with more partitions than workers a worker that falls behind
+ *  (a slow or shared CPU) leaves the others partitions to serve
+ *  instead of holding back a fixed share of the state space. */
+constexpr unsigned kPartitionsPerWorker = 4;
+
+/** Expansions a worker makes in one leased partition before it lets
+ *  the partition go and looks for the next. */
+constexpr std::size_t kQuantum = 256;
+
+/** No partition: the worker holds no lease. */
+constexpr unsigned kNoPartition = ~0u;
+
+/** One successor on its way to the partition that owns it. */
 struct Succ
 {
-    std::uint64_t parent; ///< packed (owner, local id) of the predecessor
+    std::uint64_t parent; ///< packed (partition, local id) of the predecessor
     std::uint64_t hash;
     std::uint32_t rule;
     std::uint32_t depth;
 };
 
-/** Up to kBatchRecords successors from one sender to one owner; the
- *  state bytes lie stride apart in `bytes`. The receiver hands an
- *  emptied batch back to its sender for reuse. */
+/** Up to kBatchRecords successors from one worker to one partition;
+ *  the state bytes lie stride apart in `bytes`. The worker that
+ *  interns it hands the emptied batch back to its sender for reuse. */
 struct Batch
 {
     Batch(unsigned from, std::size_t stride)
@@ -48,50 +61,65 @@ struct Batch
     std::vector<std::uint8_t> bytes;
 };
 
-/** A frontier entry: the owner's local id and its BFS depth. */
+/** A frontier entry: the partition's local id and its BFS depth. */
 struct Item
 {
     std::uint32_t id;
     std::uint32_t depth;
 };
 
-/** A predecessor link; its parent is a packed (owner, local) id. */
+/** A predecessor link; its parent is a packed (partition, local) id. */
 using Link = ExploreSnapshot::Link;
 
 /**
- * Everything one worker owns: the states whose hash maps to it, their
- * predecessor links (keep_trace only; indexed by local id), its FIFO
- * frontier and the batches it fills for every owner.
- * Only the owning thread touches these, except at a quiescent
- * rendezvous and after the join. The inbox block at the end is what
- * other workers write, on its own cache line.
+ * One slice of the state space: the states whose hash maps to it,
+ * their predecessor links (keep_trace only; indexed by local id) and
+ * its FIFO frontier. Only the worker holding the lease touches these,
+ * except at a quiescent rendezvous and after the join. The lease and
+ * the inbox, which other workers touch, sit on their own cache line.
  */
-struct alignas(64) Worker
+struct alignas(64) Partition
 {
     std::unique_ptr<StateStore> store;
     std::vector<Link> links;
     std::vector<Item> frontier;
     std::size_t head = 0;
-    /** The batch being filled for each owner (nullptr: none yet). */
+    /** Footprint last added to the shared estimate. */
+    std::uint64_t published = 0;
+
+    /** Taken (acquire) by the worker that serves the partition and
+     *  released (release) when it lets go, so the next holder sees
+     *  the store and frontier as the last one left them. */
+    alignas(64) std::atomic<bool> leased{false};
+    /** The frontier was non-empty when the lease was last released;
+     *  a hint read without the lease. */
+    std::atomic<bool> queued{false};
+    std::mutex mu;
+    std::vector<Batch *> inbox; ///< full batches for this partition
+    /** inbox is non-empty; a hint read without mu. */
+    std::atomic<bool> mail{false};
+};
+
+/** What one worker thread owns: the batch it fills for each partition
+ *  and the batches it allocated. The block at the end is what the
+ *  workers that intern its batches write, on its own cache line. */
+struct alignas(64) Worker
+{
+    /** The batch being filled for each partition (nullptr: none yet). */
     std::vector<Batch *> out;
     /** Emptied batches ready for reuse. */
     std::vector<Batch *> spare;
     /** Every batch this worker allocated; they live for the run. */
     std::vector<std::unique_ptr<Batch>> batches;
-    /** Footprint last added to the shared estimate. */
-    std::uint64_t published = 0;
 
     alignas(64) std::mutex mu;
-    std::vector<Batch *> inbox;    ///< full batches for this owner
     std::vector<Batch *> returned; ///< this worker's emptied batches
-    /** inbox is non-empty; a hint read without mu. */
-    std::atomic<bool> mail{false};
 };
 
 inline std::uint64_t
-packId(unsigned owner, std::uint32_t local)
+packId(unsigned part, std::uint32_t local)
 {
-    return (static_cast<std::uint64_t>(owner) << 32) | local;
+    return (static_cast<std::uint64_t>(part) << 32) | local;
 }
 
 } // namespace
@@ -104,6 +132,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
     const unsigned nthreads = limits.threads > 1 ? limits.threads : 2;
+    const unsigned nparts = nthreads * kPartitionsPerWorker;
     const std::size_t numVars = ts.numVars();
     const std::size_t stride = numVars == 0 ? 1 : numVars;
 
@@ -126,27 +155,40 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         ckptActive ? modelFingerprint(ts) : 0;
     double baseSeconds = 0.0;
 
-    // The test-only hash override (ExploreLimits::hash) picks owners
-    // and fingerprints alike; the null branch keeps stateHash inlined
+    // The test-only hash override (ExploreLimits::hash) picks
+    // partitions and fingerprints alike; the null branch keeps stateHash inlined
     // on the default path.
     const StateStore::HashFn hashOverride = limits.hash;
     auto hashState = [hashOverride, numVars](const std::uint8_t *p) {
         return hashOverride != nullptr ? hashOverride(p, numVars)
                                        : stateHash(p, numVars);
     };
-    auto ownerOf = [nthreads](std::uint64_t h) {
-        return static_cast<unsigned>(h % nthreads);
+    auto partOf = [nparts](std::uint64_t h) {
+        return static_cast<unsigned>(h % nparts);
     };
 
     const std::uint64_t presize = explorePresizeHint(limits);
+    std::vector<Partition> parts(nparts);
+    for (Partition &p : parts)
+        p.store = std::make_unique<StateStore>(
+            numVars, presize / nparts, limits.hash);
     std::vector<Worker> workers(nthreads);
-    for (Worker &w : workers) {
-        w.store = std::make_unique<StateStore>(
-            numVars, presize / nthreads, limits.hash);
-        w.out.assign(nthreads, nullptr);
+    for (unsigned w = 0; w < nthreads; ++w) {
+        workers[w].out.assign(nparts, nullptr);
+        // One batch up front: a run that generates one successor at a
+        // time then allocates no other, so its footprint does not
+        // depend on which workers happen to take part.
+        workers[w].batches.push_back(std::make_unique<Batch>(w, stride));
+        workers[w].spare.push_back(workers[w].batches.back().get());
     }
 
-    std::atomic<std::uint64_t> statesTotal{0};
+    // The shared atomics the hot path touches each sit on a cache line
+    // of their own: the counters written once per batch must not
+    // evict the flags read once per firing or per expansion.
+    alignas(64) std::atomic<std::uint64_t> statesTotal{0};
+    /** statesTotal has reached maxStates: the per-expansion bound
+     *  check reads this flag, written once, not the counter. */
+    alignas(64) std::atomic<bool> atLimit{false};
     // Firing and invariant counters: each worker counts in locals and
     // flushes them here before every checkpoint snapshot and at exit.
     std::atomic<std::uint64_t> transitionsTotal{0};
@@ -155,30 +197,33 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     std::atomic<std::uint64_t> guardSkippedTotal{0};
     std::atomic<std::uint64_t> identityHitsTotal{0};
     std::vector<std::atomic<std::uint64_t>> ruleFires(rules.size());
-    /** Sum of the workers' published store + frontier footprints,
-     *  updated once per interned batch, so the memory bound reads one
-     *  atomic. */
-    std::atomic<std::uint64_t> footprint{0};
-    std::atomic<std::uint64_t> batchesLive{0};
+    /** Sum of the partitions' published store + frontier footprints,
+     *  updated at each release and, under a memory bound, once per
+     *  interned batch, so the bound reads one atomic. */
+    alignas(64) std::atomic<std::uint64_t> footprint{0};
+    std::atomic<std::uint64_t> batchesLive{nthreads};
     /** Active workers plus batches in transit; 0 is the fixpoint. A
-     *  sender counts a batch before the owner can see it, and the
-     *  owner uncounts it only after interning it as an active worker,
-     *  so the count cannot touch 0 while work exists anywhere. */
-    std::atomic<std::uint64_t> pending{nthreads};
-    std::atomic<bool> stop{false};
+     *  sender counts a batch before any worker can see it, and only an
+     *  active worker interns and uncounts it. A worker counts itself
+     *  before it takes a lease, and goes idle only after a scan that
+     *  found no unleased partition with work, so the count cannot
+     *  touch 0 while work exists anywhere (DESIGN.md "Parallel
+     *  exploration"). */
+    alignas(64) std::atomic<std::uint64_t> pending{nthreads};
+    alignas(64) std::atomic<bool> stop{false};
     /** Runtime keep_trace; cleared when memory pressure sheds the
      *  predecessor links mid-run. */
-    std::atomic<bool> traceOn{keep_trace};
+    alignas(64) std::atomic<bool> traceOn{keep_trace};
     bool degradedTrace = false; // mutated only at safe points
 
     // Checkpoint rendezvous: worker 0 (the coordinator) raises
-    // pauseRequested. Every worker then stops expanding, flushes its
-    // partial batches and counts itself in `flushed`; once all have,
-    // nothing is sent any more, so each interns its inbox once and
-    // parks. The stores, frontiers and counters then form a
-    // consistent cut with no batch in transit.
-    std::atomic<bool> pauseRequested{false};
-    std::atomic<unsigned> flushed{0};
+    // pauseRequested. Every worker then lets go of its lease, flushes
+    // its partial batches and counts itself in `flushed`; once all
+    // have, nothing is sent any more, so the workers intern every
+    // inbox once and park. The stores, frontiers and counters then
+    // form a consistent cut with no batch in transit.
+    alignas(64) std::atomic<bool> pauseRequested{false};
+    alignas(64) std::atomic<unsigned> flushed{0};
     std::atomic<unsigned> pausedCount{0};
     std::atomic<unsigned> alive{nthreads};
 
@@ -219,16 +264,16 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                    (per_trace + per_ckpt_state) +
                batchesLive.load(std::memory_order_relaxed) *
                    batchBytes +
-               nthreads * sizeof(Worker);
+               nparts * sizeof(Partition) + nthreads * sizeof(Worker);
     };
-    auto publish = [&](Worker &w) {
+    auto publish = [&](Partition &p) {
         const std::uint64_t now =
-            w.store->memoryBytes() +
-            (w.frontier.size() - w.head) * perFrontier;
-        if (now != w.published)
-            footprint.fetch_add(now - w.published,
+            p.store->memoryBytes() +
+            (p.frontier.size() - p.head) * perFrontier;
+        if (now != p.published)
+            footprint.fetch_add(now - p.published,
                                 std::memory_order_relaxed);
-        w.published = now;
+        p.published = now;
     };
 
     // Index of the first invariant @p s violates, or -1; adds the
@@ -286,8 +331,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     };
 
     // Serialize the paused run into the canonical explore-snapshot
-    // layout: states owner-major in local-insertion order, packed ids
-    // remapped onto dense indices, streamed straight out of the
+    // layout: states partition-major in local-insertion order, packed
+    // ids remapped onto dense indices, streamed straight out of the
     // arenas. Caller guarantees quiescence.
     auto write_snapshot = [&]() {
         const bool tracing = traceOn.load(std::memory_order_relaxed);
@@ -301,47 +346,45 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 ruleFires[r].load(std::memory_order_relaxed);
         meta.hasLinks = tracing;
 
-        std::vector<std::uint64_t> prefix(nthreads);
+        std::vector<std::uint64_t> prefix(nparts);
         std::uint64_t total = 0;
-        for (unsigned w = 0; w < nthreads; ++w) {
-            prefix[w] = total;
-            total += workers[w].store->size();
+        for (unsigned q = 0; q < nparts; ++q) {
+            prefix[q] = total;
+            total += parts[q].store->size();
         }
         meta.numStates = total;
         auto dense = [&](std::uint64_t packed) {
             return prefix[packed >> 32] + (packed & 0xffffffffULL);
         };
-        auto ownerOfDense = [&](std::uint64_t denseId) {
-            unsigned w = nthreads - 1;
-            while (prefix[w] > denseId)
-                --w;
-            return w;
+        auto partOfDense = [&](std::uint64_t denseId) {
+            unsigned q = nparts - 1;
+            while (prefix[q] > denseId)
+                --q;
+            return q;
         };
 
         auto linkAt = [&](std::uint64_t i) {
-            const unsigned owner = ownerOfDense(i);
-            const Worker &w = workers[owner];
-            const auto local =
-                static_cast<std::size_t>(i - prefix[owner]);
-            const Link &l = w.links[local];
+            const unsigned q = partOfDense(i);
+            const auto local = static_cast<std::size_t>(i - prefix[q]);
+            const Link &l = parts[q].links[local];
             return Link{l.depth == 0 ? 0 : dense(l.parent), l.rule,
                         l.depth};
         };
 
         std::vector<std::pair<std::uint64_t, std::uint32_t>> frontier;
-        for (unsigned w = 0; w < nthreads; ++w) {
-            const Worker &wk = workers[w];
-            for (std::size_t k = wk.head; k < wk.frontier.size(); ++k)
-                frontier.emplace_back(prefix[w] + wk.frontier[k].id,
-                                      wk.frontier[k].depth);
+        for (unsigned q = 0; q < nparts; ++q) {
+            const Partition &p = parts[q];
+            for (std::size_t k = p.head; k < p.frontier.size(); ++k)
+                frontier.emplace_back(prefix[q] + p.frontier[k].id,
+                                      p.frontier[k].depth);
         }
         const std::vector<std::uint8_t> payload =
             encodeExploreSnapshotStreamed(
                 meta, numVars,
                 [&](std::uint64_t i) {
-                    const unsigned w = ownerOfDense(i);
-                    return workers[w].store->at(
-                        static_cast<std::uint32_t>(i - prefix[w]));
+                    const unsigned q = partOfDense(i);
+                    return parts[q].store->at(
+                        static_cast<std::uint32_t>(i - prefix[q]));
                 },
                 linkAt, frontier.size(),
                 [&](std::uint64_t n) {
@@ -365,28 +408,27 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                               fingerprint, payload, err))
             neo_fatal("cannot resume: ", err);
         ExploreSnapshotMeta meta;
-        // Pass 1 (onState): each state goes to the owner its hash
-        // names under this run's worker count, in file order, so
-        // every owner's local ids follow the dense order. Pass 2
+        // Pass 1 (onState): each state goes to the partition its
+        // hash names under this run's worker count, in file order, so
+        // every partition's local ids follow the dense order. Pass 2
         // (onLink): predecessor links, parents remapped to packed
-        // ids (a parent may be interned by any owner, hence the
-        // separate pass — the codec streams links only after every
-        // state).
+        // ids (a parent may sit in any partition, hence the separate
+        // pass — the codec streams links only after every state).
         std::vector<std::uint64_t> denseToPacked;
         bool tracing = false;
         VState scratch;
         auto beginStates = [&](std::uint64_t nStates) {
             tracing = keep_trace && meta.hasLinks;
             denseToPacked.resize(static_cast<std::size_t>(nStates));
-            for (Worker &w : workers)
-                w.store->reserve(nStates / nthreads);
+            for (Partition &p : parts)
+                p.store->reserve(nStates / nparts);
         };
         auto onLink = [&](std::uint64_t id, const Link &l) {
             if (!tracing)
                 return;
             const std::uint64_t packed =
                 denseToPacked[static_cast<std::size_t>(id)];
-            workers[packed >> 32].links.push_back(Link{
+            parts[packed >> 32].links.push_back(Link{
                 denseToPacked[static_cast<std::size_t>(l.parent)], l.rule,
                 l.depth});
         };
@@ -394,7 +436,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                               const std::uint8_t *) {
             const std::uint64_t packed =
                 denseToPacked[static_cast<std::size_t>(id)];
-            workers[packed >> 32].frontier.push_back(Item{
+            parts[packed >> 32].frontier.push_back(Item{
                 static_cast<std::uint32_t>(packed & 0xffffffffULL),
                 depth});
         };
@@ -402,11 +444,11 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             payload, numVars, rules.size(), meta, beginStates,
             [&](std::uint64_t id, const std::uint8_t *state) {
                 const std::uint64_t h = hashState(state);
-                const unsigned w = ownerOf(h);
+                const unsigned q = partOf(h);
                 const std::uint32_t local =
-                    workers[w].store->internHashed(state, h).first;
+                    parts[q].store->internHashed(state, h).first;
                 denseToPacked[static_cast<std::size_t>(id)] =
-                    packId(w, local);
+                    packId(q, local);
                 if (on_state) {
                     scratch.assign(state, state + numVars);
                     on_state(scratch);
@@ -438,10 +480,10 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         VState init = ts.initialState();
         ts.canonicalize(init);
         const std::uint64_t h = hashState(init.data());
-        Worker &w = workers[ownerOf(h)];
-        w.store->internHashed(init.data(), h);
+        Partition &p = parts[partOf(h)];
+        p.store->internHashed(init.data(), h);
         if (keep_trace)
-            w.links.push_back(Link{});
+            p.links.push_back(Link{});
         statesTotal.store(1, std::memory_order_relaxed);
         if (on_state)
             on_state(init);
@@ -459,10 +501,13 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             result.seconds = elapsed();
             return result;
         }
-        w.frontier.push_back(Item{0, 0});
+        p.frontier.push_back(Item{0, 0});
     }
-    for (Worker &w : workers)
-        publish(w);
+    for (Partition &p : parts) {
+        p.queued.store(p.head < p.frontier.size(),
+                       std::memory_order_relaxed);
+        publish(p);
+    }
 
     // maxStates token budget: interning a FRESH state consumes a
     // token, so the bound holds exactly even though a worker interns
@@ -474,9 +519,10 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     //     == maxStates
     // lets an exhausted taker tell "genuinely at the bound"
     // (statesTotal == maxStates) from "transiently held": a holder
-    // interns into its own store and returns the surplus without
-    // waiting on anything, so waiting for it always terminates.
-    std::atomic<std::int64_t> tokens{
+    // interns into the partition it leases and returns the surplus
+    // without waiting on anything, so waiting for it always
+    // terminates.
+    alignas(64) std::atomic<std::int64_t> tokens{
         limits.maxStates > statesTotal.load(std::memory_order_relaxed)
             ? static_cast<std::int64_t>(
                   limits.maxStates -
@@ -495,6 +541,13 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         if (n > 0)
             tokens.fetch_add(n, std::memory_order_relaxed);
     };
+    auto countStates = [&](std::uint64_t n) {
+        if (statesTotal.fetch_add(n, std::memory_order_relaxed) + n >=
+            limits.maxStates)
+            atLimit.store(true, std::memory_order_relaxed);
+    };
+    if (statesTotal.load(std::memory_order_relaxed) >= limits.maxStates)
+        atLimit.store(true, std::memory_order_relaxed);
 
     // Coordinator-only state (worker 0 is the only writer).
     double lastCkptSeconds = elapsed();
@@ -543,8 +596,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                     traceOn.load(std::memory_order_relaxed)) {
                     // Shed the predecessor links — exact counts
                     // survive, traces don't — and keep exploring.
-                    for (Worker &w : workers)
-                        std::vector<Link>().swap(w.links);
+                    for (Partition &p : parts)
+                        std::vector<Link>().swap(p.links);
                     traceOn.store(false, std::memory_order_relaxed);
                     degradedTrace = true;
                     mem = estimate_memory();
@@ -566,6 +619,11 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
         Worker &me = workers[wid];
         // Counted in `pending` from the start; cleared while idle.
         bool active = true;
+        // The partition this worker leases, or kNoPartition.
+        unsigned held = kNoPartition;
+        // Where the next scan for a partition starts: the workers
+        // start spread apart and each moves past what it served.
+        unsigned cursor = wid * kPartitionsPerWorker;
         VState cur;
         VState nx;  // successor being generated
         VState chk; // fresh state under the invariants and on_state
@@ -599,28 +657,33 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             add(identityHitsTotal, identityHitsL);
         };
 
-        // Intern @p b into this worker's store, then record, check
-        // and enqueue its fresh states. False: the maxStates budget
-        // ran dry (the caller reports the limit).
-        auto internBatch = [&](const Batch &b) -> bool {
+        // Intern @p b into partition @p pid, which this worker
+        // leases, then record, check and enqueue its fresh states.
+        // False: the maxStates budget ran dry (the caller reports the
+        // limit).
+        auto internBatch = [&](unsigned pid, const Batch &b) -> bool {
+            Partition &p = parts[pid];
             auto bytesOf = [&](std::uint32_t k) {
                 return b.bytes.data() + std::size_t{k} * stride;
             };
             admitted.clear();
             bool dry = false;
             const auto n = static_cast<std::int64_t>(b.n);
+            for (std::uint32_t k = 0; k < b.n; ++k)
+                p.store->prefetchSlot(b.recs[k].hash);
+            for (std::uint32_t k = 0; k < b.n; ++k)
+                p.store->prefetchCandidate(b.recs[k].hash);
             if (takeTokens(n)) {
                 // The whole batch is admitted up front: intern it
                 // blind and return the tokens duplicates didn't use.
                 for (std::uint32_t k = 0; k < b.n; ++k) {
-                    const auto [id, isNew] = me.store->internHashed(
+                    const auto [id, isNew] = p.store->internHashed(
                         bytesOf(k), b.recs[k].hash);
                     if (isNew)
                         admitted.emplace_back(k, id);
                 }
                 if (!admitted.empty())
-                    statesTotal.fetch_add(admitted.size(),
-                                          std::memory_order_relaxed);
+                    countStates(admitted.size());
                 returnTokens(n -
                              static_cast<std::int64_t>(admitted.size()));
             } else {
@@ -631,7 +694,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 // waits on a count it holds itself.
                 for (std::uint32_t k = 0; k < b.n && !dry; ++k) {
                     const std::uint8_t *s = bytesOf(k);
-                    if (me.store->lookupHashed(s, b.recs[k].hash) !=
+                    if (p.store->lookupHashed(s, b.recs[k].hash) !=
                         StateStore::kNoId)
                         continue;
                     while (!takeTokens(1)) {
@@ -645,16 +708,16 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                     if (dry)
                         break;
                     admitted.emplace_back(
-                        k, me.store->internHashed(s, b.recs[k].hash)
+                        k, p.store->internHashed(s, b.recs[k].hash)
                                .first);
-                    statesTotal.fetch_add(1, std::memory_order_relaxed);
+                    countStates(1);
                 }
             }
             const bool tracing = traceOn.load(std::memory_order_relaxed);
             for (const auto &[k, id] : admitted) {
                 const Succ &rec = b.recs[k];
                 if (tracing)
-                    me.links.push_back(
+                    p.links.push_back(
                         Link{rec.parent, rec.rule, rec.depth});
                 chk.assign(bytesOf(k), bytesOf(k) + numVars);
                 if (on_state) {
@@ -663,13 +726,16 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 }
                 if (const int inv = failing_invariant(chk, invChecksL);
                     inv >= 0) {
-                    report_violation(inv, chk, packId(wid, id),
+                    report_violation(inv, chk, packId(pid, id),
                                      rec.depth);
                     continue; // bad states are not expanded
                 }
-                me.frontier.push_back(Item{id, rec.depth});
+                p.frontier.push_back(Item{id, rec.depth});
             }
-            publish(me);
+            // Only a memory bound reads the estimate mid-quantum;
+            // otherwise the release publishes it.
+            if (limits.maxMemoryBytes != 0)
+                publish(p);
             return !dry;
         };
 
@@ -688,72 +754,133 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             return me.batches.back().get();
         };
 
-        // Hand the batch for @p to over: interned in place when this
-        // worker owns it, else into the owner's inbox with one lock
-        // acquisition. False: the budget ran dry.
+        // Hand the batch for partition @p to over: interned in place
+        // when this worker leases it, else into the partition's inbox
+        // with one lock acquisition. Either way the slot is left
+        // empty. False: the budget ran dry.
         auto send = [&](unsigned to) -> bool {
             Batch *b = me.out[to];
-            if (to == wid) {
-                const bool ok = internBatch(*b);
+            me.out[to] = nullptr;
+            if (to == held) {
+                const bool ok = internBatch(to, *b);
                 b->n = 0;
+                me.spare.push_back(b);
                 return ok;
             }
-            me.out[to] = nullptr;
-            // Counted before the owner can see it (see `pending`).
-            pending.fetch_add(1, std::memory_order_relaxed);
-            Worker &dst = workers[to];
+            // Counted before any worker can see it (see `pending`).
+            pending.fetch_add(1);
+            Partition &dst = parts[to];
             std::lock_guard<std::mutex> g(dst.mu);
             dst.inbox.push_back(b);
             dst.mail.store(true, std::memory_order_relaxed);
             return true;
         };
 
-        auto flushOut = [&]() -> bool {
-            for (unsigned to = 0; to < nthreads; ++to) {
-                if (me.out[to] != nullptr && me.out[to]->n != 0 &&
-                    !send(to))
+        // Intern every batch waiting in the inbox of partition @p pid,
+        // which this active worker leases, and return each to its
+        // sender. They stay counted in `pending` until all are
+        // interned.
+        auto drainInbox = [&](unsigned pid) -> bool {
+            Partition &p = parts[pid];
+            if (!p.mail.load(std::memory_order_relaxed))
+                return true;
+            {
+                std::lock_guard<std::mutex> g(p.mu);
+                taken.swap(p.inbox);
+                p.mail.store(false, std::memory_order_relaxed);
+            }
+            bool ok = true;
+            for (Batch *b : taken) {
+                ok = ok && internBatch(pid, *b);
+                b->n = 0;
+                Worker &from = workers[b->sender];
+                std::lock_guard<std::mutex> g(from.mu);
+                from.returned.push_back(b);
+            }
+            pending.fetch_sub(taken.size());
+            taken.clear();
+            return ok;
+        };
+
+        // Lease a free partition that has mail or frontier left,
+        // scanning from `cursor`; kNoPartition when there is none.
+        // Only an active worker leases (see `pending`). The exchange
+        // acquires what the last holder released.
+        auto lease = [&]() -> unsigned {
+            for (unsigned k = 0; k < nparts; ++k) {
+                const unsigned pid = (cursor + k) % nparts;
+                Partition &p = parts[pid];
+                if (!p.mail.load(std::memory_order_relaxed) &&
+                    !p.queued.load(std::memory_order_relaxed))
+                    continue;
+                if (p.leased.load(std::memory_order_relaxed) ||
+                    p.leased.exchange(true))
+                    continue;
+                if (p.head < p.frontier.size() ||
+                    p.mail.load(std::memory_order_relaxed)) {
+                    cursor = pid + 1;
+                    return pid;
+                }
+                p.leased.store(false, std::memory_order_release);
+            }
+            return kNoPartition;
+        };
+        auto release = [&](unsigned pid) {
+            Partition &p = parts[pid];
+            publish(p);
+            p.queued.store(p.head < p.frontier.size(),
+                           std::memory_order_relaxed);
+            p.leased.store(false, std::memory_order_release);
+        };
+        // Hand over every partial batch: interned in place when its
+        // partition is free to lease, else sent to its inbox. Sets
+        // @p moved if there was any; the caller must then scan again
+        // before it goes idle, since a partition it released may
+        // have queued states. False: the budget ran dry.
+        auto flushOut = [&](bool &moved) -> bool {
+            for (unsigned to = 0; to < nparts; ++to) {
+                if (me.out[to] == nullptr || me.out[to]->n == 0)
+                    continue;
+                moved = true;
+                Partition &p = parts[to];
+                if (p.leased.load(std::memory_order_relaxed) ||
+                    p.leased.exchange(true)) {
+                    if (!send(to))
+                        return false;
+                    continue;
+                }
+                held = to;
+                const bool ok = send(to);
+                held = kNoPartition;
+                release(to);
+                if (!ok)
                     return false;
             }
             return true;
         };
-
-        // Intern every batch waiting in the inbox and return each to
-        // its sender. Taking one makes an idle worker active again;
-        // the batch is still counted in `pending` until then.
-        auto drainInbox = [&]() -> bool {
-            if (!me.mail.load(std::memory_order_relaxed))
-                return true;
-            {
-                std::lock_guard<std::mutex> g(me.mu);
-                taken.swap(me.inbox);
-                me.mail.store(false, std::memory_order_relaxed);
+        // A free partition has mail or frontier left: a hint for an
+        // idle worker, read without any lease.
+        auto workInSight = [&]() {
+            for (const Partition &p : parts) {
+                if ((p.mail.load(std::memory_order_relaxed) ||
+                     p.queued.load(std::memory_order_relaxed)) &&
+                    !p.leased.load(std::memory_order_relaxed))
+                    return true;
             }
-            if (taken.empty())
-                return true;
-            if (!active) {
-                pending.fetch_add(1, std::memory_order_relaxed);
-                active = true;
-            }
-            bool ok = true;
-            for (Batch *b : taken) {
-                ok = ok && internBatch(*b);
-                b->n = 0;
-                {
-                    Worker &from = workers[b->sender];
-                    std::lock_guard<std::mutex> g(from.mu);
-                    from.returned.push_back(b);
-                }
-                pending.fetch_sub(1, std::memory_order_release);
-            }
-            taken.clear();
-            return ok;
+            return false;
         };
 
         // Rendezvous, worker side: stop sending, then intern whatever
         // is still in transit once every live worker has flushed.
         // False: a stop cut it short.
         auto quiesce = [&]() -> bool {
-            if (!flushOut()) {
+            // Interning may queue states: count this worker first.
+            if (!active) {
+                pending.fetch_add(1);
+                active = true;
+            }
+            bool moved = false;
+            if (!flushOut(moved)) {
                 report_limit();
                 return false;
             }
@@ -764,22 +891,32 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                     return false;
                 std::this_thread::yield();
             }
-            if (!drainInbox()) {
+            // No batch arrives any more. A partition another worker
+            // leases now is that worker's to drain.
+            bool ok = true;
+            for (unsigned pid = 0; pid < nparts && ok; ++pid) {
+                Partition &p = parts[pid];
+                if (!p.mail.load(std::memory_order_relaxed) ||
+                    p.leased.exchange(true))
+                    continue;
+                ok = drainInbox(pid);
+                release(pid);
+            }
+            if (!ok) {
                 report_limit();
                 return false;
             }
-            publish(me);
             flushCounters();
             return true;
         };
 
-        // GENERATE for one state: fire every enabled rule in
-        // ascending order, evaluating only the guards of cur's
-        // candidates, and route each canonical successor into the
-        // batch for its owner.
-        auto expand = [&](const Item &item) {
-            me.store->copyTo(item.id, cur);
-            const std::uint64_t parent = packId(wid, item.id);
+        // GENERATE for one state of partition @p pid: fire every
+        // enabled rule in ascending order, evaluating only the guards
+        // of cur's candidates, and route each canonical successor
+        // into the batch for its partition.
+        auto expand = [&](unsigned pid, const Item &item) {
+            parts[pid].store->copyTo(item.id, cur);
+            const std::uint64_t parent = packId(pid, item.id);
             bool stopped = false;
             std::size_t fired = 0;
             const std::size_t evals = index.forEachEnabled(
@@ -796,7 +933,7 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                     ++ruleFiresL[r];
                     ++fired;
                     const std::uint64_t h = hashState(nx.data());
-                    const unsigned to = ownerOf(h);
+                    const unsigned to = partOf(h);
                     if (me.out[to] == nullptr)
                         me.out[to] = acquireBatch();
                     Batch &b = *me.out[to];
@@ -818,6 +955,52 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 report_deadlock(cur);
         };
 
+        // Serve leased partition @p pid for one quantum: intern its
+        // mail, then expand up to kQuantum of its states, interning
+        // in place what they generate for it whenever its frontier
+        // runs dry. A bound hit is reported and raises `stop`.
+        auto serve = [&](unsigned pid) {
+            Partition &p = parts[pid];
+            held = pid;
+            bool ok = drainInbox(pid);
+            for (std::size_t n = 0; ok && n < kQuantum; ++n) {
+                if (p.head == p.frontier.size()) {
+                    if (me.out[pid] != nullptr && me.out[pid]->n != 0)
+                        ok = send(pid);
+                    ok = ok && drainInbox(pid);
+                    if (!ok || p.head == p.frontier.size())
+                        break;
+                }
+                if (stop.load(std::memory_order_relaxed))
+                    break;
+                // Cooperative bound check, once per expansion like
+                // the sequential loop's check per pop. With
+                // checkpointing on, the memory bound is the
+                // coordinator's job (it must snapshot and degrade
+                // before declaring defeat).
+                if (atLimit.load(std::memory_order_relaxed) ||
+                    elapsed() > limits.maxSeconds ||
+                    (!ckptActive && limits.maxMemoryBytes != 0 &&
+                     estimate_memory() > limits.maxMemoryBytes)) {
+                    ok = false;
+                    break;
+                }
+                const Item item = p.frontier[p.head++];
+                if (p.head >= 4096 && p.head * 2 >= p.frontier.size()) {
+                    p.frontier.erase(p.frontier.begin(),
+                                     p.frontier.begin() +
+                                         static_cast<std::ptrdiff_t>(
+                                             p.head));
+                    p.head = 0;
+                }
+                expand(pid, item);
+            }
+            if (!ok)
+                report_limit();
+            held = kNoPartition;
+            release(pid);
+        };
+
         for (;;) {
             if (stop.load(std::memory_order_relaxed))
                 break;
@@ -837,53 +1020,35 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
                 }
                 continue;
             }
-            if (!drainInbox()) {
-                report_limit();
-                break;
-            }
-            if (me.head == me.frontier.size()) {
-                if (active) {
-                    // Out of frontier: send every partial batch; the
-                    // one for this worker may refill the frontier.
-                    if (!flushOut()) {
-                        report_limit();
+            if (!active) {
+                if (!workInSight()) {
+                    if (pending.load() == 0)
                         break;
-                    }
-                    if (me.head < me.frontier.size())
-                        continue;
-                    publish(me);
-                    active = false;
-                    pending.fetch_sub(1, std::memory_order_acq_rel);
+                    std::this_thread::yield();
+                    continue;
                 }
-                if (pending.load(std::memory_order_acquire) == 0)
-                    break;
-                std::this_thread::yield();
+                pending.fetch_add(1);
+                active = true;
+            }
+            const unsigned pid = lease();
+            if (pid != kNoPartition) {
+                serve(pid);
                 continue;
             }
-            // Cooperative bound check, once per expansion like the
-            // sequential loop's check per pop. With checkpointing on,
-            // the memory bound is the coordinator's job (it must
-            // snapshot and degrade before declaring defeat).
-            if (statesTotal.load(std::memory_order_relaxed) >=
-                    limits.maxStates ||
-                elapsed() > limits.maxSeconds ||
-                (!ckptActive && limits.maxMemoryBytes != 0 &&
-                 estimate_memory() > limits.maxMemoryBytes)) {
+            // Nothing to serve: hand over every partial batch (each
+            // counts in `pending` while in transit), then go idle once
+            // a scan after the last hand-over finds nothing either.
+            bool moved = false;
+            if (!flushOut(moved)) {
                 report_limit();
                 break;
             }
-            const Item item = me.frontier[me.head++];
-            if (me.head >= 4096 && me.head * 2 >= me.frontier.size()) {
-                me.frontier.erase(me.frontier.begin(),
-                                  me.frontier.begin() +
-                                      static_cast<std::ptrdiff_t>(
-                                          me.head));
-                me.head = 0;
-            }
-            expand(item);
+            if (moved)
+                continue;
+            active = false;
+            pending.fetch_sub(1);
         }
         flushCounters();
-        publish(me);
         alive.fetch_sub(1, std::memory_order_acq_rel);
     };
 
@@ -920,8 +1085,8 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
     result.canonIdentityHits =
         identityHitsTotal.load(std::memory_order_relaxed);
     std::uint64_t visited = 0;
-    for (const Worker &w : workers)
-        visited += w.store->size();
+    for (const Partition &p : parts)
+        visited += p.store->size();
     result.statesExplored = visited;
     result.memoryBytes = estimate_memory();
     result.degradedTrace = degradedTrace;
@@ -934,10 +1099,9 @@ exploreParallel(const TransitionSystem &ts, const ExploreLimits &limits,
             std::vector<std::string> names;
             std::uint64_t id = vioId;
             for (;;) {
-                const Worker &w = workers[id >> 32];
                 const auto local =
                     static_cast<std::size_t>(id & 0xffffffffULL);
-                const Link &l = w.links[local];
+                const Link &l = parts[id >> 32].links[local];
                 if (l.depth == 0)
                     break;
                 names.push_back(rules[l.rule].name);

@@ -1,27 +1,31 @@
 /**
  * @file
- * Owner-partitioned parallel explicit-state reachability.
+ * Partitioned parallel explicit-state reachability.
  *
- * N worker threads split the state space by owner, as in Stern and
- * Dill's parallel Murphi and in PReach: canonical state s belongs to
- * worker stateHash(s) % N. Each worker keeps its own arena-interned
- * StateStore, the predecessor links of its states and a FIFO
- * frontier, and expands only its own states. Every successor is
- * fired through the precompiled flat guard/effect tables
- * (CompiledRules, transition_system.hpp), canonicalized, hashed and
- * appended to a 64-record batch for its owner: a full batch for the
- * worker itself is interned in place, one for another owner goes into
- * that owner's inbox with a single mutex acquisition. A worker that
- * runs out of frontier sends its partial batches; the owner interns
- * each arriving batch and hands the emptied buffer back to its sender.
- * One atomic counting active workers plus batches in transit detects
- * the fixpoint. DESIGN.md module 19 carries the happens-before
- * argument.
+ * N worker threads split the state space by hash, as in Stern and
+ * Dill's parallel Murphi and in PReach, but into 4N partitions rather
+ * than N: canonical state s belongs to partition stateHash(s) % 4N.
+ * Each partition keeps its own arena-interned StateStore, the
+ * predecessor links of its states and a FIFO frontier. A worker leases
+ * one free partition at a time, expands up to 256 of its states and
+ * lets it go, so a worker on a slow or shared CPU serves fewer
+ * partitions instead of holding back a fixed share of the state
+ * space. Every successor is fired through the precompiled flat
+ * guard/effect tables (CompiledRules, transition_system.hpp),
+ * canonicalized, hashed and appended to a 64-record batch for its
+ * partition: a full batch for the leased partition is interned in
+ * place, one for another partition goes into that partition's inbox
+ * with a single mutex acquisition. A worker that finds no partition
+ * to serve sends its partial batches; whoever leases a partition
+ * interns its arriving batches and hands each emptied buffer back to
+ * its sender. One atomic counting active workers plus batches in
+ * transit detects the fixpoint. DESIGN.md module 19 carries the
+ * happens-before argument.
  *
  * Equivalence contract with the sequential explorer (locked in by
  * tests/test_parallel_explorer.cpp): at a fixpoint, the set of
- * visited canonical states is identical — each state is interned by
- * exactly one owner and expanded exactly once — so statesExplored,
+ * visited canonical states is identical — each state is interned in
+ * exactly one partition and expanded exactly once — so statesExplored,
  * transitionsFired, ruleFires, invariantChecks, guardEvals,
  * guardEvalsSkipped, canonIdentityHits and the final status are equal
  * for any thread count. What is NOT bit-identical across thread

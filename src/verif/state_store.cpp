@@ -173,6 +173,25 @@ StateStore::lookupHashed(const std::uint8_t *state,
     }
 }
 
+void
+StateStore::prefetchCandidate(std::uint64_t hash) const
+{
+    const std::uint32_t fp = static_cast<std::uint32_t>(hash >> 32);
+    const std::size_t mask =
+        static_cast<std::size_t>(capacity_) - 1;
+    for (std::size_t i = probeStart(fp);; i = (i + 1) & mask) {
+        const Slot slot = table_[i];
+        if (slot.id == kNoId)
+            return;
+        if (slot.fp == fp) {
+            const std::uint8_t *p = record(slot.id);
+            __builtin_prefetch(p);
+            __builtin_prefetch(p + stride_ - 1);
+            return;
+        }
+    }
+}
+
 std::uint64_t
 StateStore::memoryBytes() const
 {

@@ -18,12 +18,13 @@
  * confirmed by a byte compare, so a verdict is exact.
  *
  * Concurrency contract: intern() and reserve() require external
- * synchronization (in the parallel explorer only the owning worker
- * calls them). at()/copyTo()/stride() are safe to call WITHOUT a
- * lock for any id whose publication happened-before the call (e.g. a
- * checkpoint rendezvous reading a parked worker's store): slab
- * pointers live in a fixed-size array that is never reallocated, and
- * a state's bytes are written exactly once, before its id escapes.
+ * synchronization (in the parallel explorer only the worker leasing
+ * the store's partition calls them). at()/copyTo()/stride() are safe
+ * to call WITHOUT a lock for any id whose publication happened-before
+ * the call (e.g. a checkpoint rendezvous reading a parked worker's
+ * partition): slab pointers live in a fixed-size array that is never
+ * reallocated, and a state's bytes are written exactly once, before
+ * its id escapes.
  */
 
 #ifndef NEO_VERIF_STATE_STORE_HPP
@@ -42,11 +43,12 @@ namespace neo
 
 /**
  * 64-bit state hash: 8-byte chunks folded with multiply-xor and a
- * murmur3-style finalizer. The hash modulo the worker count picks the
- * parallel explorer's owner and the high 32 bits are the visited-table
- * fingerprint, so both halves must avalanche. Roughly 8x fewer
- * data-dependent steps than the byte-wise FNV-1a it replaces — the
- * hash runs once per generated successor, which makes it hot-path.
+ * murmur3-style finalizer. The hash modulo the partition count picks
+ * the parallel explorer's partition and the high 32 bits are the
+ * visited-table fingerprint, so both halves must avalanche. Roughly
+ * 8x fewer data-dependent steps than the byte-wise FNV-1a it
+ * replaces — the hash runs once per generated successor, which makes
+ * it hot-path.
  */
 inline std::uint64_t
 stateHash(const std::uint8_t *p, std::size_t n)
@@ -133,7 +135,7 @@ class StateStore
         return intern(s.data());
     }
     /** Intern with a precomputed hash — the parallel explorer hashes
-     *  once to pick the owner and reuses it. */
+     *  once to pick the partition and reuses it. */
     std::pair<std::uint32_t, bool>
     internHashed(const std::uint8_t *state, std::uint64_t hash);
 
@@ -142,12 +144,30 @@ class StateStore
      * it has never been interned. Never inserts, never grows the
      * table, leaves the probe histogram untouched. Same external-
      * synchronization contract as intern() (it reads the table the
-     * interns mutate) — a parallel owner calls it near the state
+     * interns mutate) — a parallel worker calls it near the state
      * bound to decide whether a successor needs one of the maxStates
      * insertion tokens before committing to an intern.
      */
     std::uint32_t lookupHashed(const std::uint8_t *state,
                                std::uint64_t hash) const;
+
+    /**
+     * Start loading what an intern or lookup of @p hash will read
+     * first: its home slot (prefetchSlot), then the stored state
+     * behind the first slot of its probe run that carries its
+     * fingerprint (prefetchCandidate, which reads the table, so call
+     * it once the slot has had time to arrive). A caller holding a
+     * batch of hashes issues one pass of each before interning the
+     * batch, so the batch's cache misses overlap instead of queueing
+     * one behind another. Hints only: same contract as lookupHashed,
+     * and nothing observable changes.
+     */
+    void prefetchSlot(std::uint64_t hash) const
+    {
+        __builtin_prefetch(
+            &table_[probeStart(static_cast<std::uint32_t>(hash >> 32))]);
+    }
+    void prefetchCandidate(std::uint64_t hash) const;
 
     /** Bytes of an interned state; stable for the store's lifetime. */
     const std::uint8_t *at(std::uint32_t id) const { return record(id); }

@@ -1,20 +1,20 @@
 /**
  * @file
- * Differential tests locking the owner-partitioned parallel explorer
- * to the sequential BFS: for every bundled model (German, flat closed,
- * flat open across feature configs and instance sizes) the status,
- * the violated-invariant name, the fixpoint state count, the total
+ * Differential tests locking the partitioned parallel explorer to the
+ * sequential BFS: for every bundled model (German, flat closed, flat
+ * open across feature configs and instance sizes) the status, the
+ * violated-invariant name, the fixpoint state count, the total
  * transitions fired, the per-rule fire counts and the rule-index and
  * canonicalization counters must be identical at 2/3/4/8 worker
- * threads — 3 makes `hash % W` fold onto a non-power of two, 8 runs
- * more workers than most hosts have cores. Violation traces may
+ * threads — 3 folds `hash % 4W` onto a non-power of two, 8 runs more
+ * workers than most hosts have cores. Violation traces may
  * legitimately differ from the sequential ones, so they are instead
  * replayed through the transition system and must end in a genuinely
  * violating state.
  *
  * Also here: randomized property tests for the symmetry
  * canonicalization (idempotence, leaf-permutation invariance) that
- * state ownership depends on, and regressions for the memory-bound
+ * state partitioning depends on, and regressions for the memory-bound
  * accounting shared by both exploration modes.
  */
 
@@ -103,9 +103,10 @@ expectDifferentialMatch(const TransitionSystem &ts,
             EXPECT_EQ(par.invariantChecks, seq.invariantChecks);
             EXPECT_EQ(seq.invariantChecks,
                       seq.statesExplored * ts.invariants().size());
-            // Each state is expanded once, by its owner, and each
-            // firing canonicalized once: the worker-local counters
-            // must add up to the sequential ones.
+            // Each state is expanded once, by whichever worker
+            // serves its partition, and each firing canonicalized
+            // once: the worker-local counters must add up to the
+            // sequential ones.
             EXPECT_EQ(par.guardEvals, seq.guardEvals);
             EXPECT_EQ(par.guardEvalsSkipped, seq.guardEvalsSkipped);
             EXPECT_EQ(par.canonIdentityHits, seq.canonIdentityHits);
@@ -137,33 +138,34 @@ TEST(ParallelDifferential, GermanLargerInstancesAtFourThreads)
 
 TEST(ParallelDifferential, OpenNeoMESIN4)
 {
-    // 402,101 states: enough traffic between owners that every worker
-    // fills and hands over thousands of batches.
+    // 402,101 states: enough traffic between partitions that every
+    // worker fills and hands over thousands of batches.
     ModelShape shape;
     expectDifferentialMatch(
         buildOpenModel(4, VerifFeatures::neoMESI(),
                        CompositionMethod::Modified, shape));
 }
 
-/** stateHash rounded down to a multiple of 840 = lcm(1..8) with its
- *  high half kept: the fingerprints stay spread, but `hash % W` is 0
- *  for every thread count tested, so worker 0 owns every state. */
+/** stateHash rounded down to a multiple of 3360 = lcm(1..8, 32) with
+ *  its high half kept: the fingerprints stay spread, but `hash % 4W`
+ *  is 0 for every thread count tested, so partition 0 holds every
+ *  state. */
 std::uint64_t
-ownerZeroHash(const std::uint8_t *p, std::size_t n)
+partitionZeroHash(const std::uint8_t *p, std::size_t n)
 {
     const std::uint64_t h = stateHash(p, n) & 0xffffffff00000000ULL;
-    return h - h % 840;
+    return h - h % 3360;
 }
 
 TEST(ParallelDifferential, SkewedOwnershipReachesTheExactFixpoint)
 {
-    // Every successor goes to one owner and the other workers never
-    // get a state to expand: termination must still be detected, at
-    // the exact fixpoint.
+    // Every successor goes to one partition, which one worker at a
+    // time serves while the others find nothing else to lease:
+    // termination must still be detected, at the exact fixpoint.
     ModelShape shape;
     const TransitionSystem ts =
         buildClosedModel(3, VerifFeatures::neoMESI(), shape);
-    expectDifferentialMatch(ts, kThreadCounts, &ownerZeroHash);
+    expectDifferentialMatch(ts, kThreadCounts, &partitionZeroHash);
 }
 
 TEST(ParallelDifferential, FlatClosedFeatureLadder)

@@ -268,7 +268,7 @@ TEST(StateStore, LookupHashedProbesWithoutInserting)
 TEST(StateStore, ForcedCollisionStillFindsViolation)
 {
     // With an injected constant hash every state shares one
-    // fingerprint (and, in the parallel explorer, one owner), so
+    // fingerprint (and, in the parallel explorer, one partition), so
     // dedup rests entirely on the byte compare: both engines must
     // still find the mutant's violation.
     const verif::Mutant *m = verif::findMutant("leaf_silent_upgrade");
